@@ -190,37 +190,15 @@ class PDRServer:
     ) -> Optional[Motion]:
         """Process one location report (delete + insert per Section 5.1).
 
-        The report is validated first: a malformed one is quarantined in
+        A wave of one through the same engine as :meth:`report_batch`;
+        ``t`` is the client's optional time stamp, checked against the
+        server clock by validation.  A malformed report is quarantined in
         :attr:`dead_letters` and ``None`` is returned — none of the
         maintained structures see it.  An accepted report is write-ahead
         logged (when durability is on) and applied everywhere, returning
         the registered :class:`Motion`.
         """
-        self._check_writable()
-        verdict = self._validator.validate(
-            oid, x, y, vx, vy, t, self.table.tnow, self._tick_oids
-        )
-        if verdict is not None:
-            reason, detail = verdict
-            self.dead_letters.push(
-                RejectedReport(
-                    oid=oid, x=x, y=y, vx=vx, vy=vy, t=t,
-                    tnow=self.table.tnow, reason=reason, detail=detail,
-                )
-            )
-            tm.INGEST_REPORTS.labels("rejected").inc()
-            tm.DEAD_LETTERS.inc()
-            return None
-        tm.INGEST_REPORTS.labels("accepted").inc()
-        if self._manager is not None:
-            self._log_guarded(
-                self._manager.log_report, oid, x, y, vx, vy, self.table.tnow
-            )
-        if self.faults is not None:
-            self.faults.hit("report.apply")
-        motion = self._apply_report(oid, x, y, vx, vy)
-        self._resource_check()
-        return motion
+        return self._ingest([(oid, x, y, vx, vy)], t)[0]
 
     def _check_writable(self) -> None:
         if self.role != "primary":
@@ -298,13 +276,6 @@ class PDRServer:
         self.exit_read_only()
         return True
 
-    def _apply_report(
-        self, oid: int, x: float, y: float, vx: float, vy: float
-    ) -> Motion:
-        motion = self.table.report(oid, x, y, vx, vy)
-        self._tick_oids.add(oid)
-        return motion
-
     def report_batch(
         self, reports: Sequence[Tuple[int, float, float, float, float]]
     ) -> List[Optional[Motion]]:
@@ -314,27 +285,32 @@ class PDRServer:
         in order — same validation verdicts, same dead-letter entries, same
         final state — but the accepted reports are write-ahead logged in a
         single group commit (one fsync for the wave) and applied through
-        the listeners' batch hooks (one numpy pass per structure instead of
-        two Python dispatches per report).  Returns a list aligned with the
-        input: the registered :class:`Motion` per accepted report, ``None``
-        per rejected one.
+        the listeners' batch hooks (one numpy pass per structure).  Returns
+        a list aligned with the input: the registered :class:`Motion` per
+        accepted report, ``None`` per rejected one.
         """
+        return self._ingest(reports, None)
+
+    def _ingest(
+        self, reports: Sequence[Tuple[int, float, float, float, float]], t: Optional[int]
+    ) -> List[Optional[Motion]]:
+        """The one write path: validate -> WAL group commit -> table wave."""
         self._check_writable()
         tnow = self.table.tnow
         results: List[Optional[Motion]] = [None] * len(reports)
         accepted: List[Tuple[int, float, float, float, float]] = []
         slots: List[int] = []
         # Validation must see earlier accepted reports of the same wave
-        # exactly as the sequential path would (duplicate policy), without
+        # exactly as one-at-a-time reports would (duplicate policy), without
         # committing to _tick_oids before the wave is applied.
         seen = set(self._tick_oids)
         for i, (oid, x, y, vx, vy) in enumerate(reports):
-            verdict = self._validator.validate(oid, x, y, vx, vy, None, tnow, seen)
+            verdict = self._validator.validate(oid, x, y, vx, vy, t, tnow, seen)
             if verdict is not None:
                 reason, detail = verdict
                 self.dead_letters.push(
                     RejectedReport(
-                        oid=oid, x=x, y=y, vx=vx, vy=vy, t=None,
+                        oid=oid, x=x, y=y, vx=vx, vy=vy, t=t,
                         tnow=tnow, reason=reason, detail=detail,
                     )
                 )
@@ -346,18 +322,15 @@ class PDRServer:
         if rejected:
             tm.INGEST_REPORTS.labels("rejected").inc(rejected)
             tm.DEAD_LETTERS.inc(rejected)
-        if accepted:
-            tm.INGEST_REPORTS.labels("accepted").inc(len(accepted))
         if not accepted:
             return results
+        tm.INGEST_REPORTS.labels("accepted").inc(len(accepted))
         if self._manager is not None:
             self._log_guarded(self._manager.log_report_batch, accepted, tnow)
         if self.faults is not None:
             self.faults.hit("report.apply")
-        motions = self.table.report_batch(accepted)
-        for slot, motion in zip(slots, motions):
+        for slot, motion in zip(slots, self._apply_wave(accepted)):
             results[slot] = motion
-        self._tick_oids.update(report[0] for report in accepted)
         self._resource_check()
         return results
 
@@ -384,6 +357,17 @@ class PDRServer:
         self._apply_retire(oid)
         self._resource_check()
         return True
+
+    def _apply_wave(
+        self, reports: List[Tuple[int, float, float, float, float]]
+    ) -> List[Motion]:
+        """Apply already-accepted reports as table waves; the oids count
+        toward this tick's duplicate policy."""
+        if not reports:
+            return []
+        motions = self.table.report_batch(reports)
+        self._tick_oids.update(report[0] for report in reports)
+        return motions
 
     def _apply_retire(self, oid: int) -> None:
         self.table.retire(oid)
@@ -417,27 +401,42 @@ class PDRServer:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    def apply_logged_record(self, record: dict) -> None:
-        """Replay one WAL record (recovery only — bypasses logging)."""
-        op = record["op"]
-        if op == "report":
-            self._apply_report(
-                int(record["oid"]),
-                float(record["x"]),
-                float(record["y"]),
-                float(record["vx"]),
-                float(record["vy"]),
-            )
-        elif op == "retire":
-            self._apply_retire(int(record["oid"]))
-        elif op == "advance":
-            t = int(record["t"])
-            if t > self.table.tnow:
-                self._apply_advance(t)
-        elif op == "epoch":
-            self.epoch = max(self.epoch, int(record["epoch"]))
-        else:
-            raise StorageError(f"unknown update-log op {op!r}")
+    def apply_logged_record(self, records: Sequence[dict]) -> None:
+        """Replay an LSN-ordered run of WAL records (recovery and replica
+        apply — bypasses validation and logging).
+
+        Each maximal run of consecutive ``report`` records is applied as
+        one table wave, through the same engine as live ingest (the table
+        splits a wave at a repeated oid); ``retire``, ``advance`` and
+        ``epoch`` records are applied between waves.
+        """
+        wave: List[Tuple[int, float, float, float, float]] = []
+        for record in records:
+            op = record["op"]
+            if op == "report":
+                wave.append(
+                    (
+                        int(record["oid"]),
+                        float(record["x"]),
+                        float(record["y"]),
+                        float(record["vx"]),
+                        float(record["vy"]),
+                    )
+                )
+                continue
+            self._apply_wave(wave)
+            wave = []
+            if op == "retire":
+                self._apply_retire(int(record["oid"]))
+            elif op == "advance":
+                t = int(record["t"])
+                if t > self.table.tnow:
+                    self._apply_advance(t)
+            elif op == "epoch":
+                self.epoch = max(self.epoch, int(record["epoch"]))
+            else:
+                raise StorageError(f"unknown update-log op {op!r}")
+        self._apply_wave(wave)
 
     def attach_manager(self, manager) -> None:
         """Re-attach durability after recovery / failover.

@@ -163,23 +163,14 @@ class DensityHistogram(UpdateListener):
         self._tnow = tnow
         self._epoch += 1
 
-    def _covered_times(self, t_from: int, t_to: int) -> np.ndarray:
-        """Timestamps in both the window and ``[t_from, t_to]``."""
-        lo = max(t_from, self._tnow)
-        hi = min(t_to, self._tnow + self.horizon)
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        return np.arange(lo, hi + 1, dtype=np.int64)
-
     # ------------------------------------------------------------------
     # update stream
     # ------------------------------------------------------------------
     def on_insert(self, update: InsertUpdate) -> None:
-        self._scatter(update.motion, update.tnow, update.tnow + self.horizon, +1)
+        self.on_insert_batch([update])
 
     def on_delete(self, update: DeleteUpdate) -> None:
-        motion = update.motion
-        self._scatter(motion, motion.t_ref, motion.t_ref + self.horizon, -1)
+        self.on_delete_batch([update])
 
     def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
         self._scatter_batch(
@@ -195,28 +186,16 @@ class DensityHistogram(UpdateListener):
             -1,
         )
 
-    def _scatter(self, motion: Motion, t_from: int, t_to: int, sign: int) -> None:
-        ts = self._covered_times(t_from, t_to)
-        if ts.size == 0:
-            return
-        xs, ys = motion.positions_at(ts)
-        ix = np.floor((xs - self.domain.x1) / self.cell_edge).astype(np.int64)
-        iy = np.floor((ys - self.domain.y1) / self.cell_edge_y).astype(np.int64)
-        inside = (ix >= 0) & (ix < self.m) & (iy >= 0) & (iy < self.m)
-        if not inside.all():
-            ts, ix, iy = ts[inside], ix[inside], iy[inside]
-        slots = ts % self._slots
-        np.add.at(self._counts, (slots, ix, iy), sign)
-        self._epoch += 1
-
     def _scatter_batch(
         self, motions: Sequence[Motion], t_from: np.ndarray, sign: int
     ) -> None:
         """Scatter a whole wave of motions in one numpy pass.
 
         Each motion covers ``[t_from_i, t_from_i + horizon]`` intersected
-        with the maintained window.  Counter increments are integers, so
-        the accumulation is exactly the per-motion result in any order.
+        with the maintained window; at each covered timestamp the counter
+        of the cell the motion occupies moves by ``sign``.  Counter
+        increments are integers, so the accumulation is exactly the
+        per-motion result in any order.
         """
         if not motions:
             return
@@ -227,8 +206,8 @@ class DensityHistogram(UpdateListener):
         y0 = np.array([m.y for m in motions])
         vx = np.array([m.vx for m in motions])
         vy = np.array([m.vy for m in motions])
-        # (n, slots) trajectory grid — the same ``x + dt*vx`` the scalar
-        # path computes, evaluated for the whole wave at once.
+        # (n, slots) trajectory grid — the same ``x + dt*vx`` as
+        # Motion.positions_at, evaluated for the whole wave at once.
         dt = ts.astype(float)[None, :] - t_ref[:, None]
         xs = x0[:, None] + dt * vx[:, None]
         ys = y0[:, None] + dt * vy[:, None]

@@ -17,7 +17,7 @@ delta squares are baked into the coefficients); querying with a different
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -102,11 +102,10 @@ class PAMethod(UpdateListener):
     # update stream (Algorithms 4 and 5)
     # ------------------------------------------------------------------
     def on_insert(self, update: InsertUpdate) -> None:
-        self._apply(update.motion, update.tnow, update.tnow + self.horizon, +1.0)
+        self.on_insert_batch([update])
 
     def on_delete(self, update: DeleteUpdate) -> None:
-        motion = update.motion
-        self._apply(motion, motion.t_ref, motion.t_ref + self.horizon, -1.0)
+        self.on_delete_batch([update])
 
     def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
         self._apply_batch([(u.motion, u.tnow, +1.0) for u in updates])
@@ -118,7 +117,7 @@ class PAMethod(UpdateListener):
 
     def on_report_batch(self, pairs: Sequence[ReportPair]) -> None:
         # Coefficient accumulation is float addition, which is not
-        # associative: to stay bit-identical to the sequential path the
+        # associative: to stay bit-identical to one-at-a-time updates the
         # wave must apply delete_i, insert_i, delete_{i+1}, ... in the
         # exact per-report interleaving — hence this override instead of
         # the default all-deletes-then-all-inserts split.
@@ -129,21 +128,11 @@ class PAMethod(UpdateListener):
             jobs.append((insert.motion, insert.tnow, +1.0))
         self._apply_batch(jobs)
 
-    def _apply(self, motion: Motion, t_from: int, t_to: int, sign: float) -> None:
-        rects = self._update_rects(motion, t_from, t_to)
-        if rects is None:
-            return
-        slots, ci, cj, rx1, rx2, ry1, ry2 = rects
-        deltas = delta_coefficients_batch(
-            self.spec.k, rx1, rx2, ry1, ry2, height=sign / (self.l * self.l)
-        )
-        np.add.at(self._coeffs, (slots, ci, cj), deltas)
-
     # Rectangles per delta/scatter flush.  Large enough that the per-call
     # trig/einsum overhead amortises away, small enough that the
     # intermediate (M, k+1, k+1) arrays stay cache-resident instead of
-    # spilling — one unbounded pass over a big wave is *slower* than the
-    # scalar path.
+    # spilling — one unbounded pass over a big wave is *slower* than
+    # applying its updates one at a time.
     _BATCH_RECTS = 16384
 
     def _apply_batch(
@@ -151,15 +140,18 @@ class PAMethod(UpdateListener):
     ) -> None:
         """Apply ``(motion, t_from, sign)`` updates in whole-wave numpy passes.
 
-        The (timestamp, tile, rectangle) expansion runs over the entire wave
-        at once — the batched analogue of :meth:`_update_rects` — and the
-        resulting rectangles are stably re-sorted into job order before the
-        chunked ``np.add.at`` flushes.  Within one job every rectangle hits
-        a distinct ``(slot, tile)`` coefficient cell (distinct timestamps
-        map to distinct slots, distinct tiles to distinct cells), so the
-        only accumulation order that matters per cell is *across* jobs; the
-        stable job sort preserves it exactly, making the result
-        bit-identical to calling :meth:`_apply` once per job.
+        Each job covers ``[t_from, t_from + horizon]`` intersected with the
+        window; at every covered timestamp the object's influence square
+        (edge ``l``, clipped to the domain) is split into one rectangle per
+        overlapped tile, and the closed-form delta coefficients of each
+        rectangle are added to that ``(slot, tile)`` expansion.  The
+        expansion runs over the entire wave at once and comes out in job
+        order.  Within one job every rectangle hits a distinct
+        ``(slot, tile)`` coefficient cell (distinct timestamps map to
+        distinct slots, distinct tiles to distinct cells), so the only
+        accumulation order that matters per cell is *across* jobs; keeping
+        job order makes the result bit-identical to applying the jobs one
+        at a time, however a run of updates is cut into waves.
         """
         n = len(jobs)
         if n == 0:
@@ -173,7 +165,7 @@ class PAMethod(UpdateListener):
         sign = np.array([job[2] for job in jobs])
 
         # (n, slots) trajectory grid — elementwise the same ``x + dt*vx``
-        # Motion.positions_at computes on the scalar path.
+        # Motion.positions_at computes.
         ts = np.arange(self._tnow, self._tnow + self._slots, dtype=np.int64)
         dt = ts.astype(float)[None, :] - t_ref[:, None]
         xs = x0[:, None] + dt * vx[:, None]
@@ -215,9 +207,8 @@ class PAMethod(UpdateListener):
         # Expand variable-size tile spans into flat (job, timestamp, tile)
         # rectangles in one repeat pass.  ``job_idx`` from np.nonzero is
         # row-major, so the expansion comes out job-major with no sort;
-        # within one job the tile visit order differs from the scalar
-        # path's, which is immaterial because a job's rectangles all hit
-        # distinct coefficient cells.
+        # the tile visit order within one job is immaterial because a
+        # job's rectangles all hit distinct coefficient cells.
         ci_span = ci1 - ci0 + 1
         cj_span = cj1 - cj0 + 1
         counts = ci_span * cj_span
@@ -263,92 +254,6 @@ class PAMethod(UpdateListener):
             )
             idx = (base[start:end, None] + offsets[None, :]).reshape(-1)
             np.add.at(flat, idx, deltas.reshape(-1))
-
-    def _update_rects(
-        self, motion: Motion, t_from: int, t_to: int
-    ) -> Optional[Tuple[np.ndarray, ...]]:
-        """The (slot, tile, normalized-rect) pairs one update touches.
-
-        Returns ``(slots, ci, cj, rx1, rx2, ry1, ry2)`` arrays, or ``None``
-        when the update covers nothing inside the window and domain.
-        """
-        lo = max(t_from, self._tnow)
-        hi = min(t_to, self._tnow + self.horizon)
-        if hi < lo:
-            return None
-        ts = np.arange(lo, hi + 1, dtype=np.int64)
-        xs, ys = motion.positions_at(ts)
-        half = self.l / 2.0
-        dom = self.spec.domain
-        # The influence square of the object at each covered timestamp,
-        # clipped to the domain.
-        sx1 = np.maximum(xs - half, dom.x1)
-        sx2 = np.minimum(xs + half, dom.x2)
-        sy1 = np.maximum(ys - half, dom.y1)
-        sy2 = np.minimum(ys + half, dom.y2)
-        # Timestamps where the object itself has left the domain contribute
-        # nothing: density is defined over the objects inside the L x L
-        # region (shared convention with histogram and brute force).
-        in_domain = (
-            (xs >= dom.x1) & (xs < dom.x2) & (ys >= dom.y1) & (ys < dom.y2)
-        )
-        nonempty = (sx2 > sx1) & (sy2 > sy1) & in_domain
-        if not nonempty.any():
-            return None
-        ts, sx1, sx2, sy1, sy2 = (
-            ts[nonempty],
-            sx1[nonempty],
-            sx2[nonempty],
-            sy1[nonempty],
-            sy2[nonempty],
-        )
-        cw = self.spec.cell_width
-        ch = self.spec.cell_height
-        g = self.spec.g
-        tiny = 1e-12
-        ci0 = np.clip(((sx1 - dom.x1) / cw).astype(np.int64), 0, g - 1)
-        ci1 = np.clip(((sx2 - dom.x1) / cw - tiny).astype(np.int64), 0, g - 1)
-        cj0 = np.clip(((sy1 - dom.y1) / ch).astype(np.int64), 0, g - 1)
-        cj1 = np.clip(((sy2 - dom.y1) / ch - tiny).astype(np.int64), 0, g - 1)
-
-        # Expand variable-size tile spans into flat (timestamp, tile) pairs
-        # by looping over the (tiny) span offsets, keeping everything numpy.
-        max_di = int((ci1 - ci0).max())
-        max_dj = int((cj1 - cj0).max())
-        slot_l, ci_l, cj_l = [], [], []
-        rx1_l, rx2_l, ry1_l, ry2_l = [], [], [], []
-        for di in range(max_di + 1):
-            for dj in range(max_dj + 1):
-                ci = ci0 + di
-                cj = cj0 + dj
-                mask = (ci <= ci1) & (cj <= cj1)
-                if not mask.any():
-                    continue
-                ci_m = ci[mask]
-                cj_m = cj[mask]
-                tile_x1 = dom.x1 + ci_m * cw
-                tile_y1 = dom.y1 + cj_m * ch
-                ox1 = np.maximum(sx1[mask], tile_x1)
-                ox2 = np.minimum(sx2[mask], tile_x1 + cw)
-                oy1 = np.maximum(sy1[mask], tile_y1)
-                oy2 = np.minimum(sy2[mask], tile_y1 + ch)
-                slot_l.append((ts[mask] % self._slots))
-                ci_l.append(ci_m)
-                cj_l.append(cj_m)
-                # Normalise overlap rectangles to the tile frame [-1, 1].
-                rx1_l.append(2.0 * (ox1 - tile_x1) / cw - 1.0)
-                rx2_l.append(2.0 * (ox2 - tile_x1) / cw - 1.0)
-                ry1_l.append(2.0 * (oy1 - tile_y1) / ch - 1.0)
-                ry2_l.append(2.0 * (oy2 - tile_y1) / ch - 1.0)
-        return (
-            np.concatenate(slot_l),
-            np.concatenate(ci_l),
-            np.concatenate(cj_l),
-            np.concatenate(rx1_l),
-            np.concatenate(rx2_l),
-            np.concatenate(ry1_l),
-            np.concatenate(ry2_l),
-        )
 
     # ------------------------------------------------------------------
     # persistence

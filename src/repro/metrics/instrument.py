@@ -2,7 +2,7 @@
 
 A :class:`TimedListener` decorates any
 :class:`~repro.motion.updates.UpdateListener` and accumulates the CPU spent
-in its insert/delete hooks into an
+in its update hooks into an
 :class:`~repro.metrics.cost.UpdateCostTimer`, so the harness can report the
 per-update maintenance cost of the density histogram and the polynomial
 approximation separately while both consume the same update stream.
@@ -25,27 +25,18 @@ __all__ = ["TimedListener"]
 
 
 class TimedListener(UpdateListener):
-    """Forwards the update stream to ``inner``, timing insert/delete hooks.
+    """Forwards the update stream to ``inner``, timing its update hooks.
 
-    The batch hooks forward as batches — routing them through the
-    per-object defaults here would silently undo the batching of whatever
-    sits inside the wrapper — and charge the timer once per contained
-    update, so per-update averages stay comparable across paths.
+    The table dispatches only batch hooks (and ``on_advance``); they
+    forward as batches — routing them through the per-object defaults
+    here would silently undo the batching of whatever sits inside the
+    wrapper — and charge the timer once per contained update, so
+    per-update averages do not depend on how updates were cut into waves.
     """
 
     def __init__(self, inner: UpdateListener, timer: UpdateCostTimer = None) -> None:
         self.inner = inner
         self.timer = timer if timer is not None else UpdateCostTimer()
-
-    def on_insert(self, update: InsertUpdate) -> None:
-        start = time.perf_counter()
-        self.inner.on_insert(update)
-        self.timer.record(time.perf_counter() - start)
-
-    def on_delete(self, update: DeleteUpdate) -> None:
-        start = time.perf_counter()
-        self.inner.on_delete(update)
-        self.timer.record(time.perf_counter() - start)
 
     def on_insert_batch(self, updates: Sequence[InsertUpdate]) -> None:
         start = time.perf_counter()

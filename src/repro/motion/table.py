@@ -4,14 +4,16 @@
 server clock ``t_now``, expands position reports into the delete+insert
 protocol of :mod:`repro.motion.updates`, and fans both updates and clock
 advances out to its registered listeners (histograms, polynomial
-approximators, the TPR-tree, ...).
+approximators, the TPR-tree, ...).  Updates only ever reach the listeners
+as batches: a single report is a wave of one, a retirement a delete batch
+of one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.errors import InvalidParameterError, QueryError
+from ..core.errors import InvalidParameterError, ListenerFanoutError, QueryError
 from ..telemetry import instruments as tm
 from .model import Motion
 from .updates import (
@@ -61,38 +63,8 @@ class ObjectTable:
     # update protocol
     # ------------------------------------------------------------------
     def report(self, oid: int, x: float, y: float, vx: float, vy: float) -> Motion:
-        """Process a position report for ``oid`` at the current time.
-
-        A report from a known object first retracts the object's previous
-        motion (a deletion update), then registers the new one (an insertion
-        update), exactly as Section 5.1 prescribes.
-        """
-        from ..core.errors import ListenerFanoutError
-
-        new_motion = Motion(oid, self._tnow, x, y, vx, vy)
-        old_motion = self._motions.get(oid)
-        # The delete+insert protocol must run to completion even if a
-        # listener fails half-way: otherwise the table and the structures
-        # that *did* process the delete would disagree about the object.
-        failures = []
-        if old_motion is not None:
-            delete = DeleteUpdate(self._tnow, old_motion)
-            try:
-                dispatch(self._listeners, "on_delete", delete)
-            except ListenerFanoutError as exc:
-                failures.extend(exc.failures)
-        insert = InsertUpdate(self._tnow, new_motion)
-        self._motions[oid] = new_motion
-        try:
-            dispatch(self._listeners, "on_insert", insert)
-        except ListenerFanoutError as exc:
-            failures.extend(exc.failures)
-        if failures:
-            raise ListenerFanoutError(
-                f"{len(failures)} listener failure(s) while reporting object {oid}",
-                failures=failures,
-            )
-        return new_motion
+        """Process one position report at the current time: a wave of one."""
+        return self.report_batch([(oid, x, y, vx, vy)])[0]
 
     def report_batch(
         self, reports: Sequence[Tuple[int, float, float, float, float]]
@@ -100,14 +72,16 @@ class ObjectTable:
         """Process a wave of position reports in batched listener dispatches.
 
         ``reports`` is a sequence of ``(oid, x, y, vx, vy)`` tuples, all
-        effective at the current time.  Listeners receive the wave through
-        ``on_report_batch`` (one dispatch per wave instead of two per
-        report); an oid reported more than once splits the input into
-        consecutive waves so every wave retracts at most one motion per
-        object, preserving the sequential delete+insert semantics exactly.
+        effective at the current time.  A report from a known object
+        retracts the object's previous motion (a deletion update) and
+        registers the new one (an insertion update), as Section 5.1
+        prescribes.  Listeners receive the wave through ``on_report_batch``
+        (one dispatch per wave); an oid reported more than once splits the
+        input into consecutive waves so every wave retracts at most one
+        motion per object, preserving the sequential semantics exactly.
+        The whole wave is dispatched even if a listener fails half-way, so
+        the table and the structures never disagree about an object.
         """
-        from ..core.errors import ListenerFanoutError
-
         results: List[Motion] = []
         failures = []
         wave: List[ReportPair] = []
@@ -153,8 +127,7 @@ class ObjectTable:
         motion = self._motions.pop(oid, None)
         if motion is None:
             raise QueryError(f"cannot retire unknown object {oid}")
-        delete = DeleteUpdate(self._tnow, motion)
-        dispatch(self._listeners, "on_delete", delete)
+        dispatch(self._listeners, "on_delete_batch", [DeleteUpdate(self._tnow, motion)])
 
     def restore(self, motions, tnow: int) -> None:
         """Restore a snapshot: set registry and clock WITHOUT notifications.

@@ -11,6 +11,11 @@ A position report from an already-known object therefore expands into a
 deletion of its previous motion followed by an insertion of the new one.
 Every maintained structure (density histograms, Chebyshev coefficients, the
 TPR-tree) subscribes to the same stream through :class:`UpdateListener`.
+The stream is delivered in waves: live reports, WAL replay and replica
+apply all reach the structures as runs of delete+insert pairs in report
+order.  Histogram counters are integers and the Chebyshev deltas are
+additive, so a wave leaves exactly the state the same updates would leave
+one at a time.
 """
 
 from __future__ import annotations
@@ -57,13 +62,15 @@ ReportPair = Tuple[Optional[DeleteUpdate], InsertUpdate]
 class UpdateListener:
     """Interface for structures maintained against the update stream.
 
-    Subclasses override the hooks they care about; defaults are no-ops so a
-    listener may observe only inserts, only deletes, or only clock advances.
-
-    The ``*_batch`` hooks let a listener process a whole report wave at
-    once (one numpy pass instead of N Python dispatches); their defaults
-    fall back to the per-object hooks, so a listener that never heard of
-    batching still sees every update exactly once, in order.
+    :class:`~repro.motion.table.ObjectTable` dispatches only the batch
+    hooks and :meth:`on_advance`: a report wave arrives through
+    :meth:`on_report_batch` (a single report is a wave of one) and a
+    retirement through :meth:`on_delete_batch`.  The per-object hooks are
+    the fallback for listeners that only implement them (the Bx-tree, the
+    PDR monitor): the batch defaults loop over them, so such a listener
+    still sees every update exactly once, in order.  Defaults are no-ops,
+    so a listener may observe only inserts, only deletes, or only clock
+    advances.
     """
 
     def on_insert(self, update: InsertUpdate) -> None:  # noqa: B027 - optional hook

@@ -20,8 +20,10 @@ monotonically increasing LSN.  A checkpoint captures the full maintained
 state plus the LSN of the last applied record, then rotates the log to a
 fresh segment.  Recovery = newest loadable checkpoint + replay of every
 logged record with a higher LSN, which reproduces the exact float state
-of an uncrashed run (replay re-executes the same numpy operations in the
-same order on bit-identical starting arrays).
+of an uncrashed run: replay feeds each run of consecutive reports through
+the same batch engine as live ingest, as one wave, and every structure
+accumulates a wave's updates in report order on bit-identical starting
+arrays (see :meth:`~repro.core.system.PDRServer.apply_logged_record`).
 
 Crash safety at every step:
 
@@ -211,21 +213,15 @@ class UpdateLog:
             self._poison(exc)
 
     def append(self, record: dict) -> None:
-        t0 = time.perf_counter()
-        self._write_flush(frame_record(record))
-        t1 = time.perf_counter()
-        if self.fsync:
-            self._fsync_once()
-            tm.WAL_FSYNC_SECONDS.observe(time.perf_counter() - t1)
-        tm.WAL_APPEND_SECONDS.observe(t1 - t0)
-        tm.WAL_RECORDS.inc()
+        self.append_many([record])
 
     def append_many(self, records) -> None:
         """Group commit: one write + flush + fsync for the whole batch.
 
-        The on-disk bytes are identical to sequential :meth:`append` calls
-        — each record is individually framed — so recovery and replication
-        cannot tell the difference; only the syscall count changes.
+        Each record is individually framed, so the on-disk bytes do not
+        depend on how records were grouped into calls — recovery and
+        replication cannot tell the difference; only the syscall count
+        changes.
         """
         if not records:
             return
@@ -373,22 +369,14 @@ class ReliabilityManager:
     # write-ahead logging
     # ------------------------------------------------------------------
     def _append(self, record: dict) -> None:
-        if self.faults is not None:
-            self.faults.hit("wal.append")
-        crashpoint("wal.append")
-        record["lsn"] = self.lsn + 1
-        self._wal.append(record)
-        self.lsn += 1
-        tm.WAL_LSN.set(self.lsn)
-        for callback in self.on_append:
-            callback(record)
+        self._append_many([record])
 
     def _append_many(self, records: List[dict]) -> None:
         """Durably append a batch under one fault-site hit and one fsync.
 
-        LSNs are assigned sequentially exactly as repeated :meth:`_append`
-        calls would, and each record still reaches every ``on_append``
-        subscriber individually (replication ships records, not batches).
+        LSNs are assigned sequentially, and each record still reaches
+        every ``on_append`` subscriber individually (replication ships
+        records, not batches).
         """
         if not records:
             return
@@ -403,9 +391,6 @@ class ReliabilityManager:
         for record in records:
             for callback in self.on_append:
                 callback(record)
-
-    def log_report(self, oid: int, x: float, y: float, vx: float, vy: float, tnow: int) -> None:
-        self._append({"op": "report", "t": tnow, "oid": oid, "x": x, "y": y, "vx": vx, "vy": vy})
 
     def log_report_batch(self, reports, tnow: int) -> None:
         """Group-commit a wave of ``(oid, x, y, vx, vy)`` reports."""
@@ -760,6 +745,7 @@ def recover_server(
             restore_server_state(server, state)
 
         last_lsn = base_lsn
+        tail: List[dict] = []
         for _seq, record in _iter_wal_records(state_dir, from_seq):
             lsn = int(record["lsn"])
             if lsn <= base_lsn:
@@ -768,8 +754,9 @@ def recover_server(
                 raise RecoveryError(
                     f"update log gap: expected lsn {last_lsn + 1}, found {lsn}"
                 )
-            server.apply_logged_record(record)
+            tail.append(record)
             last_lsn = lsn
+        server.apply_logged_record(tail)
 
         manager = ReliabilityManager.resume(state_dir, rc, lsn=last_lsn)
         server.attach_manager(manager)

@@ -14,10 +14,12 @@ plus N in-memory replicas into a serving tier:
   order) — plus the ``replication.send`` / ``replication.deliver`` fault
   sites for the :class:`~repro.reliability.faults.FaultInjector`.
 * **In-order apply.**  A :class:`Replica` holds out-of-order arrivals in
-  a reorder buffer and applies records strictly by LSN through the same
-  ``apply_logged_record`` path recovery uses, so a caught-up replica is
-  *bit-exact* with the primary (identical numpy operations in identical
-  order) — the same guarantee crash recovery gives.
+  a reorder buffer and applies each contiguous run of records strictly
+  by LSN through the same ``apply_logged_record`` path recovery uses —
+  consecutive reports as one wave of the batch engine — so a caught-up
+  replica is *bit-exact* with the primary (every structure accumulates
+  the same updates in the same order) — the same guarantee crash
+  recovery gives.
 * **Catch-up.**  A replica that lost records (drop, partition, joining
   late) heals from the durable log: :func:`records_from_lsn` replays the
   tail, and when the needed segments were pruned it installs the newest
@@ -237,19 +239,25 @@ class Replica:
             self._pending[shipped.lsn] = shipped.record
 
     def drain(self) -> int:
-        """Apply buffered records strictly in LSN order; returns count."""
-        applied = 0
+        """Apply the contiguous run of buffered records after the cursor,
+        in LSN order and as one replay run; returns count."""
+        run: List[dict] = []
+        while self.applied_lsn + len(run) + 1 in self._pending:
+            run.append(self._pending.pop(self.applied_lsn + len(run) + 1))
+        if not run:
+            return 0
         t0 = time.perf_counter()
-        while self.applied_lsn + 1 in self._pending:
-            record = self._pending.pop(self.applied_lsn + 1)
-            self.server.apply_logged_record(record)
-            self.applied_lsn += 1
+        self._apply_run(run)
+        tm.REPLICATION_APPLIED.labels(self.name).inc(len(run))
+        tm.REPLICATION_APPLY_SECONDS.observe(time.perf_counter() - t0)
+        return len(run)
+
+    def _apply_run(self, run: List[dict]) -> None:
+        """Apply an LSN-ordered run that starts right after the cursor."""
+        self.server.apply_logged_record(run)
+        for record in run:
+            self.applied_lsn = int(record["lsn"])
             self._remember(self.applied_lsn, record)
-            applied += 1
-        if applied:
-            tm.REPLICATION_APPLIED.labels(self.name).inc(applied)
-            tm.REPLICATION_APPLY_SECONDS.observe(time.perf_counter() - t0)
-        return applied
 
     def lag(self, acked_lsn: int) -> int:
         """How many acknowledged records this replica has not applied."""
@@ -288,15 +296,11 @@ class Replica:
             if not self._install_image_if_newer(state_dir):
                 raise
             records = list(records_from_lsn(state_dir, self.applied_lsn))
-        applied = 0
-        for record in records:
-            self.server.apply_logged_record(record)
-            self.applied_lsn = int(record["lsn"])
-            self._remember(self.applied_lsn, record)
-            applied += 1
+        if records:
+            self._apply_run(records)
         self._pending = {n: r for n, r in self._pending.items() if n > self.applied_lsn}
         self.epoch = max(self.epoch, self.server.epoch)
-        return applied
+        return len(records)
 
     def _install_image_if_newer(self, state_dir: str, min_advance: int = 1) -> bool:
         """Replace this replica's state with the newest checkpoint image."""

@@ -634,10 +634,27 @@ class ServerThread:
         return self.server._executor.submit(locked).result()
 
     def drain(self, timeout: Optional[float] = None) -> None:
+        """Drain the server and wait for it; idempotent.
+
+        The loop thread ends once the server has drained.  A drain that
+        finds one already under way, or loses the race to one (its
+        coroutine cancelled by the loop shutdown, or submitted to a loop
+        that already closed), waits for the loop thread instead of raising.
+        """
         if self._loop is None or not self._loop.is_running():
             return
-        future = asyncio.run_coroutine_threadsafe(self.server.drain(), self._loop)
-        future.result(timeout=timeout or self.server.config.drain_deadline + 10.0)
+        timeout = timeout or self.server.config.drain_deadline + 10.0
+        if not self.server._drain_started:
+            try:
+                asyncio.run_coroutine_threadsafe(
+                    self.server.drain(), self._loop
+                ).result(timeout=timeout)
+                return
+            except (concurrent.futures.CancelledError, RuntimeError):
+                pass  # an earlier drain already shut the loop down
+        self._thread.join(timeout=timeout)
+        if self._thread.is_alive():
+            raise ServingError(f"server did not drain within {timeout}s")
 
     def stop(self) -> None:
         """Drain, stop the loop thread and release the backend executor."""

@@ -9,8 +9,9 @@ Families of properties:
   (and to each other across worker counts and chunkings);
 * a :meth:`PDRServer.report_batch` wave leaves every maintained structure —
   histogram counters, PA coefficients, tree contents, WAL — in exactly the
-  state the same reports produce sequentially, and recovery from the
-  group-committed WAL reproduces it bit-for-bit;
+  state the one-update-at-a-time oracle kernels (``sequential_oracle``)
+  produce, and recovery from the group-committed WAL reproduces it
+  bit-for-bit;
 * the timestamp-keyed caches return the same arrays as cold computation and
   invalidate on every mutation epoch.
 """
@@ -39,6 +40,7 @@ from repro.sweep.plane_sweep import (
 )
 
 from .conftest import populate_clustered, small_system_config
+from .sequential_oracle import SequentialOracle
 
 finite = st.floats(
     min_value=-50.0, max_value=150.0, allow_nan=False, allow_infinity=False
@@ -293,9 +295,11 @@ def _wave(rng, n, oid_base=0, domain=100.0):
 
 
 def _drive(server, waves, batched):
-    for advance, wave in waves:
+    for advance, wave, retired in waves:
         if advance:
             server.advance_to(server.tnow + advance)
+        for oid in retired:
+            server.retire(oid)
         if batched:
             server.report_batch(wave)
         else:
@@ -311,41 +315,75 @@ def _tree_contents(server):
 
 @pytest.fixture
 def report_waves():
+    """``(advance, wave, retired)`` steps: re-reports, a repeated oid in
+    one wave, retirements and a multi-tick advance."""
     rng = np.random.default_rng(42)
     first = _wave(rng, 40)
     rereport = _wave(rng, 40)
     # A duplicate oid inside one batch forces the wave-splitting path.
     rereport.append((7, 50.0, 50.0, 0.1, 0.1))
     later = _wave(rng, 30, oid_base=20)
-    return [(0, first), (0, rereport), (2, later)]
+    return [(0, first, []), (0, rereport, []), (2, later, [3, 11])]
 
 
 def test_report_batch_states_bit_identical(report_waves):
-    sequential = PDRServer(small_system_config(), expected_objects=200)
+    """The engine, fed waves or single reports, against the one-update-at-
+    a-time oracle kernels."""
+    oracle = SequentialOracle(small_system_config())
+    _drive(oracle, report_waves, batched=False)
+    single = PDRServer(small_system_config(), expected_objects=200)
     batched = PDRServer(small_system_config(), expected_objects=200)
-    _drive(sequential, report_waves, batched=False)
+    _drive(single, report_waves, batched=False)
     _drive(batched, report_waves, batched=True)
 
-    # Histogram counters are integers: exact equality, slot labels included.
-    assert np.array_equal(
-        sequential.histogram._counts, batched.histogram._counts
-    )
-    assert np.array_equal(
-        sequential.histogram._slot_time, batched.histogram._slot_time
-    )
-    # PA coefficients are floats: the batched path preserves the exact
-    # per-report interleaving, so equality is bitwise, not approximate.
-    assert np.array_equal(sequential.pa._coeffs, batched.pa._coeffs)
-    assert np.array_equal(sequential.pa._slot_time, batched.pa._slot_time)
+    # Histogram counters are integers and the PA deltas are added in
+    # report order, so equality is bitwise, slot labels included.
+    assert oracle.mismatches(single) == []
+    assert oracle.mismatches(batched) == []
     # The tree's contract is its contents plus structural invariants; the
     # Z-order bulk insert may shape the tree differently.
     batched.tree.validate()
-    assert _tree_contents(sequential) == _tree_contents(batched)
+    expected = sorted(
+        (m.oid, m.t_ref, m.x, m.y, m.vx, m.vy) for m in oracle.motions.values()
+    )
+    assert _tree_contents(single) == _tree_contents(batched) == expected
     # Queries agree as answer sets.
     for method in ("fr", "pa", "dh-optimistic", "bruteforce"):
-        a = sequential.query(method, qt=sequential.tnow + 1, rho=0.05)
+        a = single.query(method, qt=single.tnow + 1, rho=0.05)
         b = batched.query(method, qt=batched.tnow + 1, rho=0.05)
         assert set(a.regions) == set(b.regions)
+
+
+_coord = st.floats(min_value=1.0, max_value=99.0, allow_nan=False)
+_speed = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+_step = st.tuples(
+    st.integers(0, 15),  # advance; > H = 12 expires the whole window
+    st.lists(st.tuples(st.integers(0, 11), _coord, _coord, _speed, _speed), max_size=12),
+    st.lists(st.integers(0, 11), max_size=3),  # retire candidates
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(_step, min_size=1, max_size=6))
+def test_engine_matches_sequential_oracle(steps):
+    """Random waves over a small oid pool (so re-reports and repeated oids
+    within a wave are common), interleaved with retires and advances."""
+    config = small_system_config()
+    oracle = SequentialOracle(config)
+    server = PDRServer(config, expected_objects=16)
+    for advance, wave, retire in steps:
+        if advance:
+            server.advance_to(server.tnow + advance)
+            oracle.advance_to(oracle.tnow + advance)
+        for oid in dict.fromkeys(retire):
+            if oid in oracle.motions:
+                server.retire(oid)
+                oracle.retire(oid)
+        server.report_batch(wave)
+        for report in wave:
+            oracle.report(*report)
+        assert oracle.mismatches(server) == []
+    assert sorted(m.oid for m in server.tree.all_motions()) == sorted(oracle.motions)
 
 
 def test_report_batch_results_align_with_input(report_waves):
@@ -391,9 +429,9 @@ def test_report_batch_wal_recovery_bit_identical(tmp_path, report_waves):
         assert recovered.tnow == live.tnow
         assert len(recovered.table) == len(live.table)
         assert np.array_equal(recovered.histogram._counts, live.histogram._counts)
-        # Replay applies records sequentially; the batched live path must
-        # therefore be bit-identical to sequential application for the
-        # recovered floats to match exactly.
+        # Replay cuts the log into its own waves (runs of reports between
+        # advances and retires); the floats match only because any cut of
+        # the same update sequence is bit-identical.
         assert np.array_equal(recovered.pa._coeffs, live.pa._coeffs)
         assert _tree_contents(recovered) == _tree_contents(live)
     finally:
