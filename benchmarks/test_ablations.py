@@ -123,27 +123,33 @@ def test_ablation_batched_refinement(profile, ablation_world, benchmark, capsys)
 
     Batching adjacent candidate cells into maximal strips keeps the answer
     identical while replacing many small range queries with fewer, larger
-    ones — trading random I/O for sweep width.
+    ones — trading random I/O for sweep width.  The per-cell side is the
+    test oracle in ``tests/fr_oracle.py``.
     """
     from repro.methods.fr import FRMethod
+    from tests.fr_oracle import per_cell_fr
 
     server = ablation_world.server
     qt = server.tnow + 5
-    per_cell = FRMethod(server.histogram, server.tree, batch_candidates=False)
-    batched = FRMethod(server.histogram, server.tree, batch_candidates=True)
+    batched = FRMethod(server.histogram, server.tree)
+    buffer = server.tree.buffer
 
     def run():
         rows = []
         for varrho in (1.0, 3.0):
             query = server.make_query(qt=qt, varrho=varrho)
-            a = per_cell.query(query)
+            misses_before = buffer.stats.misses
+            started = time.perf_counter()
+            a = per_cell_fr(server.histogram, server.tree, query)
+            per_cell_cpu = time.perf_counter() - started
+            per_cell_io = buffer.stats.misses - misses_before
             b = batched.query(query)
             rows.append(
                 {
                     "varrho": varrho,
-                    "per_cell_io": a.stats.io_count,
+                    "per_cell_io": per_cell_io,
                     "batched_io": b.stats.io_count,
-                    "per_cell_cpu_s": a.stats.cpu_seconds,
+                    "per_cell_cpu_s": per_cell_cpu,
                     "batched_cpu_s": b.stats.cpu_seconds,
                     "mismatch_area": a.regions.symmetric_difference_area(b.regions),
                 }

@@ -12,19 +12,23 @@ Evaluation proceeds in two steps:
 
 The union of accepted cells and refined rectangles is the exact PDR answer.
 
-Refinement pipeline (the default, ``batch_candidates=True``): candidate
-cells are fused into per-row **bands** of maximal strips, all band
-rectangles are fetched in one shared TPR traversal
-(:meth:`~repro.index.tree.TPRTree.range_positions_batch`), and the fused
-bands are swept by the vectorised kernel in
-:mod:`repro.sweep.band_sweep` — optionally fanned across a process pool
-(``REPRO_REFINE_WORKERS``; band tasks are picklable snapshot arrays).  The
-emitted rectangles are bit-identical to refining each strip sequentially
-with :func:`~repro.sweep.plane_sweep.refine_cell` (see the kernel module
-docstring for the argument, and ``tests/test_perf_paths.py`` for the
-property suite).  The legacy one-range-query-per-cell path is kept as the
-equivalence oracle; opt back into it with ``batch_candidates=False``
-(deprecated) or ``REPRO_FR_PER_CELL=1``.
+Refinement pipeline — the only one, for snapshot queries here and interval
+queries in :mod:`repro.methods.interval`: candidate cells are fused into
+per-row **bands** of maximal strips, every band rectangle is fetched in one
+``range_positions_batch`` call on the index, and the fused bands are swept
+by the vectorised kernel in :mod:`repro.sweep.band_sweep` — optionally
+fanned across a process pool (``REPRO_REFINE_WORKERS``; band tasks are
+picklable snapshot arrays).  The emitted rectangles are bit-identical to
+refining each strip sequentially with
+:func:`~repro.sweep.plane_sweep.refine_cell` (see the kernel module
+docstring for the argument).  The paper's one-range-query-per-cell loop
+lives in ``tests/fr_oracle.py`` as the equivalence oracle.
+
+Index contract: FR needs ``range_positions_batch(rects, qts,
+charge_io=True)`` (per-rect position arrays; ``qts`` a scalar or one value
+per rect), a monotone ``epoch`` bumped on every mutation, and a ``buffer``
+(a :class:`~repro.storage.buffer.BufferPool` or ``None``).  The TPR-tree
+and the B^x-tree both implement it.
 
 Result reuse: per-band maximum active counts are cached per
 ``(tree epoch, histogram epoch, qt, l)``.  A later query over the same
@@ -40,7 +44,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
@@ -60,7 +63,7 @@ from ..sweep.band_sweep import (
     refine_bands,
     _refine_bands_worker,
 )
-from ..sweep.plane_sweep import _THRESHOLD_EPS, refine_cell
+from ..sweep.plane_sweep import _THRESHOLD_EPS
 from ..telemetry import TELEMETRY
 from ..telemetry import instruments as tm
 
@@ -95,25 +98,11 @@ def _refine_pool(workers: int) -> ProcessPoolExecutor:
         return _POOL
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
 class FRMethod:
     """Exact PDR evaluation over a density histogram and a moving-object index.
 
-    ``tree`` may be any index exposing ``range_query(rect, qt)`` and a
-    ``buffer`` attribute — the TPR-tree by default, the B^x-tree as the
-    drop-in alternative.  The band-fused fast path additionally uses
-    ``range_positions_batch`` when the index provides it and falls back to
-    per-strip ``range_query`` calls otherwise.
-
-    ``batch_candidates`` selects the refinement pipeline: ``True`` (the
-    default) fuses candidate cells into per-row strips refined by the
-    vectorised band kernel; ``False`` is the deprecated per-cell loop of
-    Section 5.3, kept as the bit-exactness oracle.  The answer is identical
-    (the sweep is exact on any rectangle); only the decomposition and the
-    I/O pattern change — see the refinement-batching ablation benchmark.
+    ``tree`` is any index meeting the contract in the module docstring —
+    the TPR-tree by default, the B^x-tree as the drop-in alternative.
 
     ``refine_workers`` fans band sweeps across a process pool (0 = inline;
     defaults to ``REPRO_REFINE_WORKERS``).
@@ -123,7 +112,6 @@ class FRMethod:
         self,
         histogram: DensityHistogram,
         tree: TPRTree,
-        batch_candidates: Optional[bool] = None,
         faults=None,
         refine_workers: Optional[int] = None,
     ) -> None:
@@ -131,17 +119,6 @@ class FRMethod:
             raise InvalidParameterError("FR needs both a histogram and an index")
         self.histogram = histogram
         self.tree = tree
-        if batch_candidates is None:
-            batch_candidates = not _env_flag("REPRO_FR_PER_CELL")
-        elif not batch_candidates:
-            warnings.warn(
-                "batch_candidates=False (per-cell refinement) is deprecated and "
-                "kept only as the band-fusion equivalence oracle; it will lose "
-                "its public switch once the oracle suite pins the kernel",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.batch_candidates = batch_candidates
         if refine_workers is None:
             try:
                 refine_workers = int(os.environ.get("REPRO_REFINE_WORKERS", "0"))
@@ -156,17 +133,6 @@ class FRMethod:
     # ------------------------------------------------------------------
     # band planning
     # ------------------------------------------------------------------
-    def _candidate_rects(self, filtered) -> List[Rect]:
-        """Candidate regions to refine: single cells, or coalesced strips."""
-        if not self.batch_candidates:
-            return [
-                self.histogram.cell_rect(i, j) for (i, j) in filtered.candidate_cells()
-            ]
-        cells = RegionSet(
-            self.histogram.cell_rect(i, j) for (i, j) in filtered.candidate_cells()
-        )
-        return list(cells.normalized())
-
     def _plan_rows(self, candidate: np.ndarray) -> List[Tuple[int, np.ndarray, np.ndarray]]:
         """Fuse a candidate mask into per-row strips.
 
@@ -198,6 +164,41 @@ class FRMethod:
         y1 = hist.domain.y1 + j * hist.cell_edge_y
         return y1, y1 + hist.cell_edge_y
 
+    def _fetch_bands(
+        self, bands: List[Tuple[int, np.ndarray, np.ndarray]], qts, l: float
+    ) -> Tuple[List[BandTask], int]:
+        """Fetch every band's objects in one index call; build sweep tasks.
+
+        ``bands`` are ``(row j, strips_x1, strips_x2)`` as planned by
+        :meth:`_plan_rows`; ``qts`` is the query timestamp, or one per band.
+        Each band is fetched over its strips' ``l/2`` expansion.  Returns the
+        tasks (in band order) and the number of objects the index returned.
+        """
+        half = l / 2.0
+        domain = self.histogram.domain
+        row_bounds = [self._row_bounds(j) for j, _, _ in bands]
+        fetch_rects = [
+            Rect(float(x1s[0]) - half, y1 - half, float(x2s[-1]) + half, y2 + half)
+            for (_, x1s, x2s), (y1, y2) in zip(bands, row_bounds)
+        ]
+        fetched = (
+            self.tree.range_positions_batch(fetch_rects, qts) if fetch_rects else []
+        )
+        objects = 0
+        tasks: List[BandTask] = []
+        for (_, x1s, x2s), (y1, y2), (px, py) in zip(bands, row_bounds, fetched):
+            objects += int(px.size)
+            # Objects outside the domain do not count toward density — the
+            # same convention the histogram maintains (see DensityHistogram).
+            inside = (
+                (px >= domain.x1)
+                & (px < domain.x2)
+                & (py >= domain.y1)
+                & (py < domain.y2)
+            )
+            tasks.append(BandTask(y1, y2, x1s, x2s, px[inside], py[inside]))
+        return tasks, objects
+
     def _accepted_bounds(self, filtered) -> np.ndarray:
         """Accepted-cell rectangles as a bounds array (cell_rect floats)."""
         ai, aj = np.nonzero(filtered.accepted)
@@ -212,9 +213,9 @@ class FRMethod:
     # ρ-monotonic band cache
     # ------------------------------------------------------------------
     def _cache_key(self, query: SnapshotPDRQuery) -> tuple:
-        tree_epoch = getattr(self.tree, "epoch", None)
-        hist_epoch = getattr(self.histogram, "_epoch", None)
-        return (tree_epoch, hist_epoch, float(query.qt), float(query.l))
+        return (
+            self.tree.epoch, self.histogram._epoch, float(query.qt), float(query.l)
+        )
 
     @staticmethod
     def _strips_covered(
@@ -265,16 +266,11 @@ class FRMethod:
         """Exact PDR answer; stats include filter counters and charged I/O.
 
         ``deadline`` (a :class:`repro.reliability.deadline.Deadline`) is
-        checked cooperatively before each band (or candidate-cell)
-        refinement — refinement is where FR's cost lives — raising
-        :class:`~repro.core.errors.DeadlineExceededError` so the degradation
-        ladder can fall back to a cheaper method.
+        checked cooperatively before each band refinement and again between
+        the fetch and the sweep — refinement is where FR's cost lives —
+        raising :class:`~repro.core.errors.DeadlineExceededError` so the
+        degradation ladder can fall back to a cheaper method.
         """
-        if self.batch_candidates and hasattr(self.tree, "range_positions_batch"):
-            return self._query_banded(query, deadline)
-        return self._query_per_cell(query, deadline)
-
-    def _query_banded(self, query: SnapshotPDRQuery, deadline) -> QueryResult:
         buffer = self.tree.buffer
         io_before = buffer.stats.misses if buffer is not None else 0
         hits_before = self.histogram.cache_hits
@@ -288,9 +284,7 @@ class FRMethod:
         # as a trace leaf, so trace-derived totals equal stats.extra exactly.
         tracer.record_span("filter", filter_seconds)
 
-        half = query.l / 2.0
         threshold = query.min_count - _THRESHOLD_EPS
-        domain = self.histogram.domain
 
         # --- fuse: candidate mask -> per-row strip bands -------------------
         stage = time.perf_counter()
@@ -308,36 +302,13 @@ class FRMethod:
             "fuse", fuse_seconds, bands=len(rows), skipped=len(skippable)
         )
 
-        # --- fetch: one shared TPR traversal for every band ----------------
+        # --- fetch: one batched index call for every band ------------------
         stage = time.perf_counter()
-        fetch_rects = []
-        row_bounds = []
-        for j, x1s, x2s in kept:
-            y1, y2 = self._row_bounds(j)
-            row_bounds.append((y1, y2))
-            fetch_rects.append(
-                Rect(float(x1s[0]) - half, y1 - half, float(x2s[-1]) + half, y2 + half)
-            )
-        fetched = (
-            self.tree.range_positions_batch(fetch_rects, float(query.qt))
-            if fetch_rects
-            else []
-        )
-        objects_examined = 0
-        tasks: List[BandTask] = []
-        for (j, x1s, x2s), (y1, y2), (px, py) in zip(kept, row_bounds, fetched):
-            objects_examined += int(px.size)
-            # Objects outside the domain do not count toward density — the
-            # same convention the histogram maintains (see DensityHistogram).
-            inside = (
-                (px >= domain.x1)
-                & (px < domain.x2)
-                & (py >= domain.y1)
-                & (py < domain.y2)
-            )
-            tasks.append(BandTask(y1, y2, x1s, x2s, px[inside], py[inside]))
+        tasks, objects_examined = self._fetch_bands(kept, float(query.qt), query.l)
         fetch_seconds = time.perf_counter() - stage
         tracer.record_span("fetch", fetch_seconds, objects=objects_examined)
+        if deadline is not None:
+            deadline.check("fr.refine")
 
         # --- sweep: vectorised band kernel, inline or pooled ---------------
         stage = time.perf_counter()
@@ -427,73 +398,3 @@ class FRMethod:
             self.histogram.cache_misses - misses_before
         )
         return QueryResult(regions=regions, stats=stats, query=query)
-
-    def _query_per_cell(self, query: SnapshotPDRQuery, deadline) -> QueryResult:
-        """The legacy per-candidate-rect loop (band-fusion equivalence oracle)."""
-        buffer = self.tree.buffer
-        io_before = buffer.stats.misses if buffer is not None else 0
-        hits_before = self.histogram.cache_hits
-        misses_before = self.histogram.cache_misses
-        start = time.perf_counter()
-
-        tracer = TELEMETRY.tracer
-        filtered = filter_query(self.histogram, query)
-        filter_seconds = time.perf_counter() - start
-        # Each measured stage float is both accumulated below and recorded
-        # as a trace leaf, so trace-derived totals equal stats.extra exactly.
-        tracer.record_span("filter", filter_seconds)
-        regions: List[Rect] = list(filtered.accepted_region())
-        half = query.l / 2.0
-        domain = self.histogram.domain
-        objects_examined = 0
-        fetch_seconds = 0.0
-        sweep_seconds = 0.0
-        for cell in self._candidate_rects(filtered):
-            if self.faults is not None:
-                self.faults.hit("fr.refine")
-            if deadline is not None:
-                deadline.check("fr.refine")
-            fetch = cell.expanded(half)
-            stage = time.perf_counter()
-            motions = self.tree.range_query(fetch, query.qt)
-            dt = time.perf_counter() - stage
-            fetch_seconds += dt
-            tracer.record_span("fetch", dt, objects=len(motions))
-            objects_examined += len(motions)
-            # Objects outside the domain do not count toward density — the
-            # same convention the histogram maintains (see DensityHistogram).
-            positions = [
-                (x, y)
-                for (x, y) in (m.position_at(query.qt) for m in motions)
-                if domain.contains_point(x, y)
-            ]
-            stage = time.perf_counter()
-            refined = refine_cell(positions, cell, query.l, query.min_count)
-            dt = time.perf_counter() - stage
-            sweep_seconds += dt
-            tracer.record_span("sweep", dt, rects=len(refined))
-            regions.extend(refined)
-
-        cpu = time.perf_counter() - start
-        io_count = (buffer.stats.misses - io_before) if buffer is not None else 0
-        io_seconds = (
-            io_count * buffer.io_seconds_per_miss if buffer is not None else 0.0
-        )
-        stats = QueryStats(
-            method="fr",
-            cpu_seconds=cpu,
-            io_count=io_count,
-            io_seconds=io_seconds,
-            accepted_cells=filtered.accepted_count,
-            rejected_cells=filtered.rejected_count,
-            candidate_cells=filtered.candidate_count,
-            objects_examined=objects_examined,
-        )
-        stats.extra["filter_seconds"] = filter_seconds
-        stats.extra["fetch_seconds"] = fetch_seconds
-        stats.extra["sweep_seconds"] = sweep_seconds
-        stats.extra["cache_hits"] = float(self.histogram.cache_hits - hits_before)
-        stats.extra["cache_misses"] = float(
-            self.histogram.cache_misses - misses_before
-        )
-        return QueryResult(regions=RegionSet(regions), stats=stats, query=query)

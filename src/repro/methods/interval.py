@@ -11,12 +11,15 @@ classifies cells once for the whole interval
 (:mod:`repro.histogram.interval_filter`) so a cell that is wholly dense at
 *any* timestamp is emitted without refinement, and the remaining candidate
 cells are swept only at the timestamps where they individually need it.
-The per-(cell, timestamp) refinements are then executed as one batch: every
-(timestamp, row) band of fused candidate strips is fetched in a *single*
-shared TPR-tree traversal — adjacent timestamps touch nearly identical
-pages, so each page is read and charged once for the whole interval instead
-of once per snapshot — and all bands are swept together by the vectorised
-kernel in :mod:`repro.sweep.band_sweep`.  Combined with the histogram's
+The per-(cell, timestamp) refinements are then executed as one batch
+through the same fetch step as snapshot FR
+(:meth:`~repro.methods.fr.FRMethod._fetch_bands`): every (timestamp, row)
+band of fused candidate strips is fetched in a *single*
+``range_positions_batch`` call — on the TPR-tree one shared traversal, where
+adjacent timestamps touch nearly identical pages, so each page is read and
+charged once for the whole interval instead of once per snapshot — and all
+bands are swept together by the vectorised kernel in
+:mod:`repro.sweep.band_sweep`.  Combined with the histogram's
 epoch-keyed per-timestamp prefix-sum memoisation, an interval query no
 longer recomputes each snapshot from scratch.
 """
@@ -37,8 +40,7 @@ from ..core.query import (
 )
 from ..core.regions import RegionSet
 from ..histogram.interval_filter import filter_query_interval
-from ..sweep.band_sweep import BandTask, refine_bands
-from ..sweep.plane_sweep import refine_cell
+from ..sweep.band_sweep import refine_bands
 
 __all__ = ["evaluate_interval", "evaluate_interval_fr"]
 
@@ -66,83 +68,37 @@ def evaluate_interval_fr(fr_method, query: IntervalPDRQuery) -> QueryResult:
     and index are used directly.
     """
     histogram = fr_method.histogram
-    tree = fr_method.tree
-    buffer = tree.buffer
+    buffer = fr_method.tree.buffer
     io_before = buffer.stats.misses if buffer is not None else 0
     start = time.perf_counter()
 
     filtered = filter_query_interval(histogram, query)
     regions: List[Rect] = list(filtered.accepted_region())
-    half = query.l / 2.0
     min_count = query.rho * query.l * query.l
-    domain = histogram.domain
-    objects_examined = 0
 
-    if hasattr(tree, "range_positions_batch"):
-        # Band-batched refinement: fuse each timestamp's pending candidate
-        # cells into per-row strips, fetch every band in one shared
-        # traversal, and sweep them all in one kernel pass.
-        m = histogram.m
-        pending_at: Dict[int, np.ndarray] = {}
-        for (i, j), timestamps in filtered.candidate_times.items():
-            for qt in timestamps:
-                mask = pending_at.get(qt)
-                if mask is None:
-                    mask = np.zeros((m, m), dtype=bool)
-                    pending_at[qt] = mask
-                mask[i, j] = True
-        tasks: List[BandTask] = []
-        fetch_rects: List[Rect] = []
-        fetch_qts: List[float] = []
-        for qt in sorted(pending_at):
-            for j, x1s, x2s in fr_method._plan_rows(pending_at[qt]):
-                y1, y2 = fr_method._row_bounds(j)
-                tasks.append(BandTask(y1, y2, x1s, x2s, None, None))
-                fetch_rects.append(
-                    Rect(
-                        float(x1s[0]) - half,
-                        y1 - half,
-                        float(x2s[-1]) + half,
-                        y2 + half,
-                    )
-                )
-                fetch_qts.append(float(qt))
-        fetched = (
-            tree.range_positions_batch(fetch_rects, np.asarray(fetch_qts))
-            if fetch_rects
-            else []
-        )
-        for idx, (px, py) in enumerate(fetched):
-            objects_examined += int(px.size)
-            inside = (
-                (px >= domain.x1)
-                & (px < domain.x2)
-                & (py >= domain.y1)
-                & (py < domain.y2)
-            )
-            t = tasks[idx]
-            tasks[idx] = BandTask(
-                t.y1, t.y2, t.strips_x1, t.strips_x2, px[inside], py[inside]
-            )
-        swept = refine_bands(tasks, query.l, min_count)
-        regions.extend(
-            Rect(row[0], row[1], row[2], row[3]) for row in swept.bounds
-        )
-    else:
-        # Indexes without a batch traversal (e.g. alternative trees) keep
-        # the per-(cell, timestamp) loop.
-        for (i, j), timestamps in filtered.candidate_times.items():
-            cell = histogram.cell_rect(i, j)
-            fetch = cell.expanded(half)
-            for qt in timestamps:
-                motions = tree.range_query(fetch, qt)
-                objects_examined += len(motions)
-                positions = [
-                    (x, y)
-                    for (x, y) in (m.position_at(qt) for m in motions)
-                    if domain.contains_point(x, y)
-                ]
-                regions.extend(refine_cell(positions, cell, query.l, min_count))
+    # Fuse each timestamp's pending candidate cells into per-row strips,
+    # fetch every (timestamp, row) band in one batched index call, and
+    # sweep them all in one kernel pass.
+    m = histogram.m
+    pending_at: Dict[int, np.ndarray] = {}
+    for (i, j), timestamps in filtered.candidate_times.items():
+        for qt in timestamps:
+            mask = pending_at.get(qt)
+            if mask is None:
+                mask = np.zeros((m, m), dtype=bool)
+                pending_at[qt] = mask
+            mask[i, j] = True
+    bands = []
+    band_qts: List[float] = []
+    for qt in sorted(pending_at):
+        rows = fr_method._plan_rows(pending_at[qt])
+        bands.extend(rows)
+        band_qts.extend([float(qt)] * len(rows))
+    tasks, objects_examined = fr_method._fetch_bands(
+        bands, np.asarray(band_qts), query.l
+    )
+    swept = refine_bands(tasks, query.l, min_count)
+    regions.extend(Rect(row[0], row[1], row[2], row[3]) for row in swept.bounds)
 
     cpu = time.perf_counter() - start
     io_count = (buffer.stats.misses - io_before) if buffer is not None else 0

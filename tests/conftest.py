@@ -7,6 +7,8 @@ import pytest
 
 from repro import PDRServer, SystemConfig
 from repro.core.geometry import Rect
+from repro.index.bx import BxTree
+from repro.storage.buffer import BufferPool
 
 
 @pytest.fixture
@@ -47,6 +49,22 @@ def small_config() -> SystemConfig:
 @pytest.fixture
 def small_server(small_config) -> PDRServer:
     return PDRServer(small_config, expected_objects=200)
+
+
+def bx_mirror(server: PDRServer) -> BxTree:
+    """A B^x-tree holding the server's current motions, with its own buffer
+    pool.  It is not a table listener: later reports do not reach it."""
+    config = server.config
+    bx = BxTree(
+        config.domain,
+        horizon=config.horizon,
+        phase_length=max(1, config.max_update_interval // 2),
+        buffer_pool=BufferPool(capacity_pages=32),
+        tnow=server.tnow,
+    )
+    for motion in server.table.motions():
+        bx.insert(motion)
+    return bx
 
 
 def populate_clustered(server: PDRServer, n: int, seed: int = 1) -> None:

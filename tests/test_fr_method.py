@@ -22,6 +22,8 @@ from repro.methods.fr import FRMethod
 from repro.motion.table import ObjectTable
 from repro.storage.buffer import BufferPool
 
+from .fr_oracle import per_cell_fr
+
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
 HORIZON = 6
 
@@ -163,8 +165,8 @@ class TestFRBatchedRefinement:
         """Coalescing candidate cells never changes the exact answer."""
         table, hist, tree = build_world(n, seed=seed)
         query = SnapshotPDRQuery(rho=rho, l=10.0, qt=2)
-        per_cell = FRMethod(hist, tree, batch_candidates=False).query(query)
-        batched = FRMethod(hist, tree, batch_candidates=True).query(query)
+        per_cell = per_cell_fr(hist, tree, query)
+        batched = FRMethod(hist, tree).query(query)
         assert per_cell.regions.symmetric_difference_area(
             batched.regions
         ) == pytest.approx(0.0, abs=1e-9)
@@ -173,12 +175,14 @@ class TestFRBatchedRefinement:
         table, hist, tree = build_world(120, seed=3)
         query = SnapshotPDRQuery(rho=0.03, l=10.0, qt=0)
         filtered = filter_query(hist, query)
-        fr = FRMethod(hist, tree, batch_candidates=True)
-        strips = fr._candidate_rects(filtered)
+        rows = FRMethod(hist, tree)._plan_rows(filtered.candidate)
+        n_strips = sum(x1s.size for _, x1s, _ in rows)
         if filtered.candidate_count > 1:
-            assert len(strips) < filtered.candidate_count
+            assert n_strips < filtered.candidate_count
         area_cells = filtered.candidate_region().area()
-        area_strips = sum(r.area for r in strips)
+        area_strips = sum(
+            float(np.sum(x2s - x1s)) * hist.cell_edge_y for _, x1s, x2s in rows
+        )
         assert area_strips == pytest.approx(area_cells)
 
 

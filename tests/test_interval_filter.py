@@ -9,7 +9,7 @@ from repro.core.errors import InvalidParameterError
 from repro.core.query import IntervalPDRQuery
 from repro.histogram.interval_filter import filter_query_interval
 from repro.methods.interval import evaluate_interval, evaluate_interval_fr
-from tests.conftest import populate_clustered
+from tests.conftest import bx_mirror, populate_clustered
 from repro.core.system import PDRServer
 
 
@@ -89,6 +89,13 @@ class TestOptimizedIntervalFR:
         naive = evaluate_interval(lambda s: fr.query(s), query)
         optimized = evaluate_interval_fr(fr, query)
         assert optimized.regions.symmetric_difference_area(
+            naive.regions
+        ) == pytest.approx(0.0, abs=1e-6)
+        # The same refinement over the B^x-tree gives the same answer.
+        on_bx = evaluate_interval_fr(
+            FRMethod(server.histogram, bx_mirror(server)), query
+        )
+        assert on_bx.regions.symmetric_difference_area(
             naive.regions
         ) == pytest.approx(0.0, abs=1e-6)
 

@@ -5,8 +5,9 @@ Families of properties:
 * the vectorised 1-D sweep and X-driver are **bit-identical** to the
   reference event-loop implementations (same floats, ``==`` on every bound);
 * the band-fused refinement kernel, the batched tree traversal and the
-  process-pool fan-out are bit-identical to the sequential per-cell path
-  (and to each other across worker counts and chunkings);
+  process-pool fan-out are bit-identical to the sequential per-strip path
+  (and to each other across worker counts and chunkings), and FR over
+  either index answers exactly like the per-cell oracle (``fr_oracle``);
 * a :meth:`PDRServer.report_batch` wave leaves every maintained structure —
   histogram counters, PA coefficients, tree contents, WAL — in exactly the
   state the one-update-at-a-time oracle kernels (``sequential_oracle``)
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro import PDRServer
 from repro.core.geometry import Rect
 from repro.histogram.density_histogram import DensityHistogram
+from repro.histogram.filter import filter_query
 from repro.index.tree import TPRTree
 from repro.methods.fr import FRMethod
 from repro.motion.model import Motion
@@ -33,13 +35,15 @@ from repro.reliability.recovery import UpdateLog
 from repro.reliability.validation import ReliabilityConfig
 from repro.sweep.band_sweep import BandTask, merge_band_results, refine_bands
 from repro.sweep.plane_sweep import (
+    _THRESHOLD_EPS,
     dense_segments_1d,
     dense_segments_1d_reference,
     refine_cell,
     refine_cell_reference,
 )
 
-from .conftest import populate_clustered, small_system_config
+from .conftest import bx_mirror, populate_clustered, small_system_config
+from .fr_oracle import per_cell_fr
 from .sequential_oracle import SequentialOracle
 
 finite = st.floats(
@@ -189,11 +193,9 @@ def test_batch_traversal_matches_sequential(seed):
                  float(x1 + rng.uniform(1, 30)), float(y1 + rng.uniform(1, 30)))
         )
         qts.append(float(rng.integers(0, 5)))
-    motions = tree.range_query_batch(rects, np.asarray(qts))
     positions = tree.range_positions_batch(rects, np.asarray(qts))
-    for rect, qt, batch_m, (px, py) in zip(rects, qts, motions, positions):
+    for rect, qt, (px, py) in zip(rects, qts, positions):
         sequential = tree.range_query(rect, qt)
-        assert [m.oid for m in sequential] == [m.oid for m in batch_m]
         sx = np.array([m.position_at(qt)[0] for m in sequential])
         sy = np.array([m.position_at(qt)[1] for m in sequential])
         assert np.array_equal(sx, px) and np.array_equal(sy, py)
@@ -206,20 +208,26 @@ def fr_world():
     return server
 
 
+@pytest.fixture(scope="module")
+def fr_indexes(fr_world):
+    """Both indexes FR refines through, over the same motions."""
+    return {"tpr": fr_world.tree, "bx": bx_mirror(fr_world)}
+
+
 def _region_tuples(result):
     return [(r.x1, r.y1, r.x2, r.y2) for r in result.regions]
 
 
-def test_banded_fr_matches_per_cell_fr(fr_world):
+@pytest.mark.parametrize("index", ["tpr", "bx"])
+def test_banded_fr_matches_per_cell_fr(fr_world, fr_indexes, index):
     server = fr_world
+    tree = fr_indexes[index]
     qt = server.tnow + 1
-    banded = FRMethod(server.histogram, server.tree, batch_candidates=True)
-    with pytest.deprecated_call():
-        per_cell = FRMethod(server.histogram, server.tree, batch_candidates=False)
+    banded = FRMethod(server.histogram, tree)
     for varrho in (0.8, 1.2, 2.0, 3.5):
         query = server.make_query(qt=qt, varrho=varrho)
         a = banded.query(query)
-        b = per_cell.query(query)
+        b = per_cell_fr(server.histogram, tree, query)
         # Same region *union*, exactly: the raster in _combine_area breaks
         # on the rect edges themselves, so zero symmetric difference means
         # identical point sets — the decompositions legitimately differ
@@ -262,20 +270,51 @@ def test_fused_rows_dedup_adjacent_cells(fr_world):
     )
 
 
-def test_rho_monotonic_band_skip_reuses_prior_sweeps(fr_world):
+@pytest.mark.parametrize("index", ["tpr", "bx"])
+def test_rho_monotonic_band_skip_reuses_prior_sweeps(fr_world, fr_indexes, index):
     """Raising varrho on the same snapshot skips bands whose cached max
     active count already rules them out — without changing the answer."""
     server = fr_world
+    tree = fr_indexes[index]
     qt = server.tnow + 1
-    fr = FRMethod(server.histogram, server.tree)
+    fr = FRMethod(server.histogram, tree)
     skipped = 0.0
     for varrho in (1.2, 1.5, 2.0, 3.0):
         query = server.make_query(qt=qt, varrho=varrho)
         result = fr.query(query)
         skipped += result.stats.extra["refine_bands_skipped"]
-        fresh = FRMethod(server.histogram, server.tree).query(query)
+        fresh = FRMethod(server.histogram, tree).query(query)
         assert _region_tuples(result) == _region_tuples(fresh)
     assert skipped > 0, "ascending varrho must hit the band-skip cache"
+
+
+@pytest.mark.parametrize("index", ["tpr", "bx"])
+def test_band_cache_forgets_index_insert(index):
+    """An insert that reaches the index but not the histogram must still
+    invalidate the band cache: its key carries the index epoch."""
+    server = PDRServer(small_system_config(), expected_objects=200)
+    populate_clustered(server, 150, seed=5)
+    tree = server.tree if index == "tpr" else bx_mirror(server)
+    qt = server.tnow + 1
+    fr = FRMethod(server.histogram, tree)
+    fr.query(server.make_query(qt=qt, varrho=1.5))
+    high = server.make_query(qt=qt, varrho=3.0)
+    # A row the cache would skip at the higher threshold ...
+    rows = fr._plan_rows(filter_query(server.histogram, high).candidate)
+    skippable = fr._skippable_rows(
+        fr._cache_key(high), rows, high.min_count - _THRESHOLD_EPS
+    )
+    assert skippable, "the world must leave a skippable band"
+    j, x1s, x2s = next(r for r in rows if r[0] in skippable)
+    y1, y2 = fr._row_bounds(j)
+    x, y = float(x1s[0] + x2s[0]) / 2.0, (y1 + y2) / 2.0
+    # ... turns dense once enough objects stack up at one of its points.
+    for k in range(int(np.ceil(high.min_count))):
+        tree.insert(Motion(10_000 + k, server.tnow, x, y, 0.0, 0.0))
+    cached = fr.query(high)
+    fresh = FRMethod(server.histogram, tree).query(high)
+    assert _region_tuples(cached) == _region_tuples(fresh)
+    assert any(r.contains_point(x, y) for r in fresh.regions)
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,15 @@ class TestQueryDegradation:
         assert result.stats.extra["deadline_spent"] <= 0.5
         assert result.stats.extra["ladder_fallbacks"] == 1.0
 
+    def test_slow_fr_fetch_degrades_within_budget(self, loaded):
+        # the budget runs out inside the fetch, after every per-band check
+        # has passed: the fetch -> sweep boundary must notice
+        server, faults = loaded
+        faults.inject_delay("buffer.io", seconds=0.2)
+        result = server.query("fr", qt=2, rho=0.004, deadline=0.5)
+        assert result.stats.method != "fr"
+        assert result.degraded is True
+
     def test_slow_fr_and_pa_degrade_to_histogram_bound(self, loaded):
         server, faults = loaded
         faults.inject_delay("fr.refine", seconds=0.2)
