@@ -62,7 +62,11 @@ from repro.histogram.density_histogram import DensityHistogram
 from repro.motion.model import Motion
 from repro.motion.updates import InsertUpdate
 from repro.reliability.recovery import ReliabilityConfig
-from repro.sweep.plane_sweep import refine_cell, refine_cell_reference
+from repro.sweep.plane_sweep import refine_cell
+
+# The event-loop sweep oracle lives with the tests, under the repository root.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.sweep_oracle import refine_cell_reference  # noqa: E402
 
 GATED_RATIOS = (
     "ingest_speedup_memory",

@@ -1,8 +1,9 @@
 """Micro-benchmarks of the core operations behind the figures.
 
 These use pytest-benchmark's timing loop on individual operations (one
-query, one location update, one refinement sweep) against the shared warm
-medium world, complementing the figure-level tables with per-op numbers.
+query, one location update, one refinement sweep, one band-kernel batch),
+mostly against the shared warm medium world, complementing the
+figure-level tables with per-op numbers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import pytest
 
 from repro.core.geometry import Rect
 from repro.histogram.answers import dh_optimistic
+from repro.sweep.band_sweep import BandTask, refine_bands
 from repro.sweep.plane_sweep import refine_cell
 
 
@@ -84,3 +86,27 @@ def test_bench_refine_cell_sweep(benchmark):
     assert region.bounding_box() is None or cell.contains_rect(
         region.bounding_box()
     )
+
+
+def test_bench_refine_bands(benchmark):
+    """The band kernel FR runs: three strips of one dense, skewed band."""
+    gen = np.random.default_rng(2)
+    hot = gen.normal((25.0, 15.0), 4.0, size=(400, 2))
+    cold = gen.uniform((-5.0, 5.0), (65.0, 25.0), size=(300, 2))
+    xs, ys = np.concatenate([hot, cold]).T
+    task = BandTask(
+        10.0, 20.0, np.array([0.0, 20.0, 45.0]), np.array([15.0, 35.0, 60.0]), xs, ys
+    )
+    l, min_count = 10.0, 30.0
+
+    result = benchmark.pedantic(
+        refine_bands, args=([task], l, min_count), rounds=5, iterations=1
+    )
+    per_strip = [
+        (r.x1, r.y1, r.x2, r.y2)
+        for x1, x2 in zip(task.strips_x1, task.strips_x2)
+        for r in refine_cell(
+            list(zip(xs, ys)), Rect(x1, task.y1, x2, task.y2), l, min_count
+        )
+    ]
+    assert per_strip and [tuple(row) for row in result.bounds] == per_strip

@@ -339,7 +339,7 @@ class FRMethod:
         sweep_seconds = time.perf_counter() - stage
         tracer.record_span(
             "sweep", sweep_seconds, rects=int(swept.bounds.shape[0]),
-            segments=swept.segments,
+            segments=swept.segments, pairs=swept.pairs,
         )
 
         # --- merge: accepted cells + refined rects, cache band maxima ------
@@ -392,6 +392,7 @@ class FRMethod:
         stats.extra["refine_bands"] = float(len(kept))
         stats.extra["refine_bands_skipped"] = float(len(skippable))
         stats.extra["refine_segments"] = float(swept.segments)
+        stats.extra["refine_pairs"] = float(swept.pairs)
         stats.extra["refine_workers"] = float(workers)
         stats.extra["cache_hits"] = float(self.histogram.cache_hits - hits_before)
         stats.extra["cache_misses"] = float(

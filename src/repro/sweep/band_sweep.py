@@ -11,30 +11,49 @@ refines an entire batch of such **bands** in one pass:
   row's worth of strips plus the objects fetched for the row's expanded
   rectangle (one TPR range fetch per band instead of one per cell);
 * the X-breakpoints of every strip come from a single sorted/unique event
-  array per band, and the active-band count at each segment's left edge is
-  two ``searchsorted`` subtractions instead of pointer walks;
+  array per band.  A band's kept objects are sorted by x once; their enter
+  (``x - l/2``) and exit (``x + l/2``) events then both ascend in that
+  order, so the objects active at a segment's left edge ``x`` — those with
+  ``enter <= x < exit`` — are one contiguous **run**
+  ``[#{exit <= x}, #{enter <= x})``, found by two ``searchsorted`` calls.
+  Its length is the segment's active count; no (segments x objects) array
+  is ever built;
 * the per-segment Y-sweeps of *all* bands run as one flat segmented
-  sort+cumsum: the (segment, object) incidence pairs are built per band,
-  then every downstream step — boundary counts, in-range events, net deltas,
-  running counts, dense-run extraction — operates on the concatenated arrays
-  grouped by a global segment id.
+  sort+cumsum.  Each object plays one of three **y roles** against its
+  band ``[y1, y2)``: *edge* (an enter or exit strictly inside ``(y1, y2)``:
+  it makes events), *full* (active at ``y1`` with no event inside: it only
+  adds 1 to the segment's starting count) or *none* (it contributes
+  nothing).  Starting counts are prefix-sum differences over a segment's
+  run; only edge objects' events enter the sweep, and since each object's
+  events sit together in x order, a run of objects is a run of events.
+  One integer sort of ``(segment, coordinate rank, enter?)`` keys orders
+  every segment's events; net deltas per distinct coordinate, running
+  counts and dense-run extraction then operate on the concatenated arrays.
 
 Bit-exactness.  Each strip's breakpoint set equals ``refine_cell``'s
 (:func:`numpy.unique` of the same float events restricted to the same strict
-interior), the active count at a left edge ``x`` equals the pointer walk's
-(``|{enter <= x < exit}| = |{enter <= x}| - |{exit <= x}|`` because
-``exit = enter + l``), and the flat Y-sweep performs the same comparisons on
-the same floats as :func:`dense_segments_1d` segment by segment (that
-routine depends only on the multiset of active y's).  Fetching a whole
-band's objects is harmless for any strip in it: an object outside a strip's
-``l/2`` expansion contributes no breakpoint strictly inside the strip and is
-never active there.  The property suite in ``tests/test_perf_paths.py``
-holds the kernel bit-identical — every emitted bound compared with ``==`` —
-to sequential per-strip :func:`refine_cell` calls.
+interior).  Subtracting ``l/2`` is monotone in floating point, so the
+x-sorted enters and exits are the sorted arrays ``refine_cell`` walks, and
+the run ``{enter <= x < exit}`` is exactly the pointer walk's active set:
+``|{enter <= x}| - |{exit <= x}|`` counts it because ``exit >= enter`` for
+every object.  The y roles are :func:`dense_segments_1d`'s own comparisons
+(``enter <= lo < exit`` for the starting count, ``lo < e < hi`` for an
+event) made once per object instead of once per (segment, object) pair, and
+that routine depends only on the multiset of active y's.  Coordinate ranks
+come from :func:`numpy.unique` of the event floats, so sorting by rank is
+sorting by coordinate, and every emitted bound is one of those floats.
+Fetching a whole band's objects is harmless for any strip in it: an object
+outside a strip's ``l/2`` expansion contributes no breakpoint strictly
+inside the strip and is never active there.  The property suite in
+``tests/test_perf_paths.py`` holds the kernel bit-identical — every emitted
+bound compared with ``==`` — to sequential per-strip :func:`refine_cell`
+calls, on random floats and on a lattice where events tie with band and
+strip edges.
 
 Chunk invariance.  Every step is local to one band (phase A) or one segment
-(phase B), so refining bands in chunks — e.g. across a worker pool — and
-concatenating the outputs is elementwise identical to one inline call.
+(phase B) — the coordinate ranks span the batch, but only order events —
+so refining bands in chunks, e.g. across a worker pool, and concatenating
+the outputs is elementwise identical to one inline call.
 :func:`merge_band_results` is that concatenation.
 """
 
@@ -53,7 +72,6 @@ __all__ = [
     "merge_band_results",
 ]
 
-_EMPTY_F = np.empty(0, dtype=float)
 _EMPTY_I = np.empty(0, dtype=np.int64)
 
 
@@ -85,19 +103,29 @@ class BandBatchResult(NamedTuple):
     ``max_active`` is each band's maximum active-band count over all sweep
     segments (the ρ-monotonic skip bound: no l-square centred in the band's
     strips can ever hold more than this many objects).  ``segments`` counts
-    X-segments examined across the batch.
+    X-segments examined across the batch; ``pairs`` counts the (segment,
+    edge object) pairs handed to the Y-sweep — the sweep's real work.
     """
 
     bounds: np.ndarray
     task_of_rect: np.ndarray
     max_active: np.ndarray
     segments: int
+    pairs: int
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(counts.size, dtype=np.int64)
     if counts.size > 1:
         np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _prefix_count(values: np.ndarray) -> np.ndarray:
+    """``out[k]`` = sum of ``values[:k]`` (so a run ``[a, b)`` sums to
+    ``out[b] - out[a]``)."""
+    out = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=out[1:])
     return out
 
 
@@ -111,23 +139,26 @@ def refine_bands(
     max_active = np.zeros(n_tasks, dtype=np.int64)
     if n_tasks == 0:
         return BandBatchResult(
-            np.empty((0, 4), dtype=float), _EMPTY_I.copy(), max_active, 0
+            np.empty((0, 4), dtype=float), _EMPTY_I.copy(), max_active, 0, 0
         )
 
-    # ---------------- phase A: per-band segment construction ----------------
-    # Sweep-eligible segments (active count may clear the threshold):
+    # ---------------- phase A: per-band X-sweep segments ----------------
+    # Sweep-eligible segments (active count may clear the threshold), each
+    # with the run of objects active on it:
     seg_x_lo: List[np.ndarray] = []
     seg_x_hi: List[np.ndarray] = []
     seg_y1: List[np.ndarray] = []
     seg_y2: List[np.ndarray] = []
     seg_gid: List[np.ndarray] = []  # global segment ids (emission order keys)
     seg_task: List[np.ndarray] = []
-    # (segment, object) incidence pairs for the flat Y-sweep; segments are
-    # referenced by *eligible-segment* index (assigned after concatenation).
-    pair_count: List[int] = []
-    pair_obj_enter: List[np.ndarray] = []
-    pair_obj_exit: List[np.ndarray] = []
-    pair_local_seg: List[np.ndarray] = []
+    seg_run_lo: List[np.ndarray] = []
+    seg_run_hi: List[np.ndarray] = []
+    # The kept objects of those segments' bands, x-ordered per band and
+    # concatenated (runs index into this), and their band's y-extent:
+    obj_ys: List[np.ndarray] = []
+    obj_y1: List[float] = []
+    obj_y2: List[float] = []
+    obj_count: List[int] = []
     # Empty segments emitted full-height (only when the threshold is <= 0):
     full_x_lo: List[np.ndarray] = []
     full_x_hi: List[np.ndarray] = []
@@ -137,6 +168,7 @@ def refine_bands(
     full_task: List[np.ndarray] = []
 
     gid_base = 0
+    obj_base = 0
     for t_idx, task in enumerate(tasks):
         x1s = np.asarray(task.strips_x1, dtype=float)
         x2s = np.asarray(task.strips_x2, dtype=float)
@@ -148,8 +180,9 @@ def refine_bands(
         # Same superset filter as refine_cell: only objects whose y-range can
         # overlap the band matter (band y-extent is shared by every strip).
         keep = (ys - half < task.y2 + half) & (ys + half > task.y1 - half)
-        xs = xs[keep]
-        ys = ys[keep]
+        order = np.argsort(xs[keep], kind="stable")
+        xs = xs[keep][order]
+        ys = ys[keep][order]
         enters = xs - half
         exits = xs + half
         events = np.unique(np.concatenate([enters, exits]))
@@ -174,14 +207,12 @@ def refine_bands(
         else:
             x_lo = x1s[strip_of]
             x_hi = x2s[strip_of]
-        # Active count at each left edge: enter <= x < exit, and because
-        # every interval has identical width l, |{exit <= x}| counts exactly
-        # the entered-and-expired objects.
-        sorted_enters = np.sort(enters)
-        sorted_exits = np.sort(exits)
-        cnt = np.searchsorted(sorted_enters, x_lo, side="right") - np.searchsorted(
-            sorted_exits, x_lo, side="right"
-        )
+        # Enters and exits both ascend in x order, so the objects active at
+        # a left edge x (enter <= x < exit) are the run
+        # [#{exit <= x}, #{enter <= x}); its length is the active count.
+        run_lo = np.searchsorted(exits, x_lo, side="right")
+        run_hi = np.searchsorted(enters, x_lo, side="right")
+        cnt = run_hi - run_lo
         if cnt.size:
             max_active[t_idx] = int(cnt.max())
         gids = gid_base + np.arange(total, dtype=np.int64)
@@ -200,24 +231,22 @@ def refine_bands(
         eligible = np.flatnonzero((~empty) & (cnt >= threshold))
         if eligible.size == 0:
             continue
-        el_lo = x_lo[eligible]
-        # Incidence: object o is active on eligible segment s iff
-        # enter_o <= x_lo_s < exit_o (same comparison refine_cell maintains
-        # with its pointer-advanced mask).
-        act = (enters[None, :] <= el_lo[:, None]) & (el_lo[:, None] < exits[None, :])
-        si, oi = np.nonzero(act)
-        seg_x_lo.append(el_lo)
+        seg_x_lo.append(x_lo[eligible])
         seg_x_hi.append(x_hi[eligible])
         seg_y1.append(np.full(eligible.size, task.y1))
         seg_y2.append(np.full(eligible.size, task.y2))
         seg_gid.append(gids[eligible])
         seg_task.append(np.full(eligible.size, t_idx, dtype=np.int64))
-        pair_local_seg.append(si.astype(np.int64))
-        pair_obj_enter.append(ys[oi] - half)
-        pair_obj_exit.append(ys[oi] + half)
-        pair_count.append(eligible.size)
+        seg_run_lo.append(obj_base + run_lo[eligible])
+        seg_run_hi.append(obj_base + run_hi[eligible])
+        obj_ys.append(ys)
+        obj_y1.append(task.y1)
+        obj_y2.append(task.y2)
+        obj_count.append(ys.size)
+        obj_base += ys.size
 
     segments_total = gid_base
+    n_pairs = 0
 
     # ---------------- phase B: flat segmented Y-sweep ----------------
     if seg_x_lo:
@@ -227,102 +256,92 @@ def refine_bands(
         sy2 = np.concatenate(seg_y2)
         sgid = np.concatenate(seg_gid)
         stask = np.concatenate(seg_task)
+        run_lo = np.concatenate(seg_run_lo)
+        run_hi = np.concatenate(seg_run_hi)
         n_eseg = sx_lo.size
-        # Re-base each band's local segment indices into the flat space.
-        offsets = _exclusive_cumsum(np.asarray(pair_count, dtype=np.int64))
-        p_seg = np.concatenate(
-            [ls + off for ls, off in zip(pair_local_seg, offsets)]
+        ys = np.concatenate(obj_ys)
+        oy1 = np.repeat(np.asarray(obj_y1, dtype=float), obj_count)
+        oy2 = np.repeat(np.asarray(obj_y2, dtype=float), obj_count)
+        # Y roles: dense_segments_1d's comparisons, made once per object.
+        # count0 counts the run's objects active at the band's low edge
+        # (enter <= lo < exit); an "edge" object has an enter or an exit
+        # strictly inside (lo, hi) and is the only kind that makes events.
+        y_enters = ys - half
+        y_exits = ys + half
+        at_lo = (y_enters <= oy1) & (y_exits > oy1)
+        in_enter = (oy1 < y_enters) & (y_enters < oy2)
+        in_exit = (oy1 < y_exits) & (y_exits < oy2)
+        at_lo_prefix = _prefix_count(at_lo)
+        count0 = at_lo_prefix[run_hi] - at_lo_prefix[run_lo]
+        edge_prefix = _prefix_count(in_enter | in_exit)
+        n_pairs = int((edge_prefix[run_hi] - edge_prefix[run_lo]).sum())
+        # Every object's in-band events (enter, then exit) in object order:
+        # a segment's run of objects is a run of events.  Each event is coded
+        # 2 * (rank of its coordinate) + (1 at an enter, 0 at an exit), so
+        # one integer sort of segment * span + code orders every segment's
+        # events by coordinate, exactly as sorting the floats would.
+        has_event = np.column_stack([in_enter, in_exit]).ravel()
+        picked = np.flatnonzero(has_event)
+        coords, rank = np.unique(
+            np.column_stack([y_enters, y_exits]).ravel()[picked], return_inverse=True
         )
-        p_enter = np.concatenate(pair_obj_enter)
-        p_exit = np.concatenate(pair_obj_exit)
+        code = 2 * rank + 1 - (picked & 1)
+        ev_start = _prefix_count(in_enter.astype(np.int64) + in_exit)
+        ev_lo = ev_start[run_lo]
+        ev_len = ev_start[run_hi] - ev_lo
+        ev_pick = np.arange(int(ev_len.sum()), dtype=np.int64) + np.repeat(
+            ev_lo - _exclusive_cumsum(ev_len), ev_len
+        )
+        keys = np.sort(
+            code[ev_pick]
+            + np.repeat(np.arange(n_eseg, dtype=np.int64) * (2 * coords.size), ev_len)
+        )
+        # Distinct (segment, coordinate) groups and their net deltas — the
+        # per-segment analogue of np.unique + np.add.at.
+        group = keys >> 1
+        new_group = np.ones(group.size, dtype=bool)
+        new_group[1:] = group[1:] != group[:-1]
+        first = np.flatnonzero(new_group)
+        group_end = np.append(first[1:], group.size)
+        enter_prefix = _prefix_count(keys & 1)
+        net = 2 * (enter_prefix[group_end] - enter_prefix[first]) - (group_end - first)
+        u_seg, u_rank = np.divmod(group[first], coords.size)
+        u_coord = coords[u_rank]
+        # Each segment's net change over all its events, per object.
+        obj_net_prefix = _prefix_count(in_enter.astype(np.int64) - in_exit)
+        closing = count0 + obj_net_prefix[run_hi] - obj_net_prefix[run_lo]
 
-        lo_of_pair = sy1[p_seg]
-        hi_of_pair = sy2[p_seg]
-        # Objects already active at the band's low edge (dense_segments_1d's
-        # count0: enter <= lo < exit).
-        at_lo = (p_enter <= lo_of_pair) & (p_exit > lo_of_pair)
-        count0 = np.bincount(p_seg[at_lo], minlength=n_eseg)
-        # Events strictly inside (lo, hi): +1 at enter, -1 at exit.
-        in_enter = (lo_of_pair < p_enter) & (p_enter < hi_of_pair)
-        in_exit = (lo_of_pair < p_exit) & (p_exit < hi_of_pair)
-        ev_seg = np.concatenate([p_seg[in_enter], p_seg[in_exit]])
-        ev_coord = np.concatenate([p_enter[in_enter], p_exit[in_exit]])
-        ev_delta = np.concatenate(
-            [
-                np.ones(int(in_enter.sum()), dtype=np.int64),
-                -np.ones(int(in_exit.sum()), dtype=np.int64),
-            ]
-        )
-        if ev_seg.size:
-            order = np.lexsort((ev_coord, ev_seg))
-            ev_seg = ev_seg[order]
-            ev_coord = ev_coord[order]
-            ev_delta = ev_delta[order]
-            # Distinct (segment, coordinate) groups and their net deltas —
-            # the per-segment analogue of np.unique + np.add.at.
-            new_group = np.empty(ev_seg.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (ev_seg[1:] != ev_seg[:-1]) | (
-                ev_coord[1:] != ev_coord[:-1]
-            )
-            group_id = np.cumsum(new_group) - 1
-            net = np.bincount(group_id, weights=ev_delta).astype(np.int64)
-            u_seg = ev_seg[new_group]
-            u_coord = ev_coord[new_group]
-            # Running count after each distinct coordinate, restarted per
-            # segment: global cumsum minus the segment's preceding total.
-            csum = np.cumsum(net)
-            seg_first = np.empty(u_seg.size, dtype=bool)
-            seg_first[0] = True
-            seg_first[1:] = u_seg[1:] != u_seg[:-1]
-            first_idx = np.flatnonzero(seg_first)
-            base_vals = np.where(first_idx == 0, 0, csum[np.maximum(first_idx - 1, 0)])
-            occurring = np.diff(np.append(first_idx, u_seg.size))
-            running = csum - np.repeat(base_vals, occurring)
-            m_per_seg = np.bincount(u_seg, minlength=n_eseg)
-            uniq_start = _exclusive_cumsum(m_per_seg)
-        else:
-            u_coord = _EMPTY_F
-            running = _EMPTY_I
-            m_per_seg = np.zeros(n_eseg, dtype=np.int64)
-            uniq_start = np.zeros(n_eseg, dtype=np.int64)
-
-        # One "position" per sweep interval: [lo, u1), [u1, u2), ..., [um, hi).
-        pos_per_seg = m_per_seg + 1
-        n_pos = int(pos_per_seg.sum())
-        seg_of_pos = np.repeat(np.arange(n_eseg), pos_per_seg)
-        within = (
-            np.arange(n_pos, dtype=np.int64) - _exclusive_cumsum(pos_per_seg)[seg_of_pos]
-        )
-        prev_u = uniq_start[seg_of_pos] + within - 1
-        if running.size:
-            safe_prev = np.clip(prev_u, 0, running.size - 1)
-            counts_pos = np.where(
-                within == 0, count0[seg_of_pos], count0[seg_of_pos] + running[safe_prev]
-            )
-            left_pos = np.where(within == 0, sy1[seg_of_pos], u_coord[safe_prev])
-            next_u = np.clip(prev_u + 1, 0, u_coord.size - 1)
-            right_pos = np.where(
-                within == m_per_seg[seg_of_pos], sy2[seg_of_pos], u_coord[next_u]
-            )
-        else:
-            counts_pos = count0[seg_of_pos]
-            left_pos = sy1[seg_of_pos]
-            right_pos = sy2[seg_of_pos]
+        # One "position" per sweep interval: each segment opens with
+        # [lo, u1) at count0, then one [u_k, u_k+1) per distinct coordinate
+        # (the last ends at hi).  Every count is one cumsum of steps: the
+        # opening step resets to count0, the others add the net delta.
+        m_per_seg = np.bincount(u_seg, minlength=n_eseg)
+        opens = np.arange(n_eseg, dtype=np.int64) + _exclusive_cumsum(m_per_seg)
+        n_pos = n_eseg + u_seg.size
+        closes = np.append(opens[1:], n_pos) - 1
+        u_pos = np.arange(u_seg.size, dtype=np.int64) + u_seg + 1
+        steps = np.empty(n_pos, dtype=np.int64)
+        steps[u_pos] = net
+        steps[opens] = count0 - np.append(0, closing[:-1])
+        counts_pos = np.cumsum(steps)
+        left_pos = np.empty(n_pos, dtype=float)
+        left_pos[opens] = sy1
+        left_pos[u_pos] = u_coord
+        right_pos = np.empty(n_pos, dtype=float)
+        right_pos[:-1] = left_pos[1:]
+        right_pos[closes] = sy2
         dense = counts_pos >= threshold
         # Maximal dense runs within each segment (adjacent intervals share an
         # edge float exactly, which is what dense_segments_1d merges).
-        prev_dense = np.empty(n_pos, dtype=bool)
-        prev_dense[0] = False
-        prev_dense[1:] = dense[:-1]
-        next_dense = np.empty(n_pos, dtype=bool)
-        next_dense[-1] = False
-        next_dense[:-1] = dense[1:]
-        run_start = dense & ~(prev_dense & (within > 0))
-        run_end = dense & ~(next_dense & (within < m_per_seg[seg_of_pos]))
-        s_idx = np.flatnonzero(run_start)
-        e_idx = np.flatnonzero(run_end)
-        run_seg = seg_of_pos[s_idx]
+        breaks_before = np.ones(n_pos, dtype=bool)
+        breaks_before[1:] = ~dense[:-1]
+        breaks_before[opens] = True
+        breaks_after = np.ones(n_pos, dtype=bool)
+        breaks_after[:-1] = ~dense[1:]
+        breaks_after[closes] = True
+        s_idx = np.flatnonzero(dense & breaks_before)
+        e_idx = np.flatnonzero(dense & breaks_after)
+        run_seg = np.searchsorted(opens, s_idx, side="right") - 1
         sweep_bounds = np.column_stack(
             [sx_lo[run_seg], left_pos[s_idx], sx_hi[run_seg], right_pos[e_idx]]
         )
@@ -356,7 +375,9 @@ def refine_bands(
         order = np.lexsort((all_bounds[:, 1], all_gid))
         all_bounds = all_bounds[order]
         all_task = all_task[order]
-    return BandBatchResult(all_bounds, all_task, max_active, segments_total)
+    return BandBatchResult(
+        all_bounds, all_task, max_active, segments_total, n_pairs
+    )
 
 
 def merge_band_results(
@@ -370,7 +391,7 @@ def merge_band_results(
     """
     if not chunks:
         return BandBatchResult(
-            np.empty((0, 4), dtype=float), _EMPTY_I.copy(), _EMPTY_I.copy(), 0
+            np.empty((0, 4), dtype=float), _EMPTY_I.copy(), _EMPTY_I.copy(), 0, 0
         )
     bounds = np.concatenate([c.bounds for c in chunks])
     task_of_rect = np.concatenate(
@@ -378,7 +399,8 @@ def merge_band_results(
     )
     max_active = np.concatenate([c.max_active for c in chunks])
     segments = sum(c.segments for c in chunks)
-    return BandBatchResult(bounds, task_of_rect, max_active, segments)
+    pairs = sum(c.pairs for c in chunks)
+    return BandBatchResult(bounds, task_of_rect, max_active, segments, pairs)
 
 
 def _refine_bands_worker(payload):

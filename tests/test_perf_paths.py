@@ -34,17 +34,12 @@ from repro.motion.model import Motion
 from repro.reliability.recovery import UpdateLog
 from repro.reliability.validation import ReliabilityConfig
 from repro.sweep.band_sweep import BandTask, merge_band_results, refine_bands
-from repro.sweep.plane_sweep import (
-    _THRESHOLD_EPS,
-    dense_segments_1d,
-    dense_segments_1d_reference,
-    refine_cell,
-    refine_cell_reference,
-)
+from repro.sweep.plane_sweep import _THRESHOLD_EPS, dense_segments_1d, refine_cell
 
 from .conftest import bx_mirror, populate_clustered, small_system_config
 from .fr_oracle import per_cell_fr
 from .sequential_oracle import SequentialOracle
+from .sweep_oracle import dense_segments_1d_reference, refine_cell_reference
 
 finite = st.floats(
     min_value=-50.0, max_value=150.0, allow_nan=False, allow_infinity=False
@@ -169,6 +164,94 @@ def test_band_kernel_chunking_is_invariant(seed, n_chunks):
     assert np.array_equal(merged.bounds, whole.bounds)
     assert np.array_equal(merged.task_of_rect, whole.task_of_rect)
     assert np.array_equal(merged.max_active, whole.max_active)
+    assert merged.pairs == whole.pairs
+
+
+@st.composite
+def _lattice_band_case(draw):
+    """Bands whose every coordinate is a multiple of ``l/4``.
+
+    Object events (``± l/2``), band edges and strip edges share the lattice,
+    so y events land exactly on ``y1``/``y2``, x events on strip edges, and
+    positions repeat — the ties the y roles and the x-order runs rest on.
+    Clusters of up to 20 stacked or near-stacked objects reach
+    ``min_count = rho * l**2`` for rho up to 2.
+    """
+    l = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    q = l / 4.0
+    rho = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]))
+    step = st.integers(0, 32)
+    cells = draw(st.lists(st.tuples(step, step), max_size=30))
+    for cx, cy, size in draw(
+        st.lists(st.tuples(step, step, st.integers(1, 20)), max_size=3)
+    ):
+        jitter = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        cells += [
+            (cx + dx, cy + dy)
+            for dx, dy in draw(st.lists(jitter, min_size=size, max_size=size))
+        ]
+    xs = q * np.array([c[0] for c in cells], dtype=float)
+    ys = q * np.array([c[1] for c in cells], dtype=float)
+    half = l / 2.0
+    tasks = []
+    for _ in range(draw(st.integers(1, 3))):
+        y1 = q * draw(st.integers(0, 28))
+        y2 = y1 + q * draw(st.integers(1, 8))
+        cuts = sorted(draw(st.sets(st.integers(0, 32), min_size=2, max_size=6)))
+        cuts = cuts[: len(cuts) // 2 * 2]
+        sx1 = q * np.array(cuts[0::2], dtype=float)
+        sx2 = q * np.array(cuts[1::2], dtype=float)
+        keep = (
+            (xs >= sx1.min() - half)
+            & (xs <= sx2.max() + half)
+            & (ys >= y1 - half)
+            & (ys <= y2 + half)
+        )
+        tasks.append(BandTask(y1, y2, sx1, sx2, xs[keep], ys[keep]))
+    return tasks, l, rho * l * l
+
+
+def _per_strip_oracle(tasks, l, min_count):
+    """Sequential ``refine_cell`` per strip, plus per band the largest
+    active count over all X-segments and the (segment, object) pairs whose
+    object has a y event strictly inside the band, over segments the sweep
+    visits — every count taken directly, object by object."""
+    half = l / 2.0
+    threshold = min_count - _THRESHOLD_EPS
+    rects, max_active, pairs = [], [], 0
+    for t in tasks:
+        xs, ys = np.asarray(t.xs), np.asarray(t.ys)
+        positions = list(zip(xs, ys))
+        keep = (ys - half < t.y2 + half) & (ys + half > t.y1 - half)
+        enters, exits = xs[keep] - half, xs[keep] + half
+        y_enters, y_exits = ys[keep] - half, ys[keep] + half
+        has_y_event = ((t.y1 < y_enters) & (y_enters < t.y2)) | (
+            (t.y1 < y_exits) & (y_exits < t.y2)
+        )
+        best = 0
+        for x1, x2 in zip(t.strips_x1, t.strips_x2):
+            for r in refine_cell(positions, Rect(x1, t.y1, x2, t.y2), l, min_count):
+                rects.append((r.x1, r.y1, r.x2, r.y2))
+            inside = [e for e in np.concatenate([enters, exits]) if x1 < e < x2]
+            for x_lo in sorted({float(x1), *map(float, inside)}):
+                active = (enters <= x_lo) & (x_lo < exits)
+                count = int(active.sum())
+                best = max(best, count)
+                if count > 0 and count >= threshold:
+                    pairs += int((active & has_y_event).sum())
+        max_active.append(best)
+    return rects, max_active, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lattice_band_case())
+def test_band_kernel_matches_oracle_on_lattice_ties(case):
+    tasks, l, min_count = case
+    result = refine_bands(tasks, l, min_count)
+    rects, max_active, pairs = _per_strip_oracle(tasks, l, min_count)
+    assert [tuple(row) for row in result.bounds] == rects
+    assert result.max_active.tolist() == max_active
+    assert result.pairs == pairs
 
 
 @settings(max_examples=25, deadline=None)
