@@ -11,8 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.geometry import Rect
+from repro.core.system import PDRServer
 from repro.histogram.answers import dh_optimistic
+from repro.storage.snapshot import read_snapshot, restore_server_state, save_server
 from repro.sweep.band_sweep import BandTask, refine_bands
 from repro.sweep.plane_sweep import refine_cell
 
@@ -110,3 +113,38 @@ def test_bench_refine_bands(benchmark):
         )
     ]
     assert per_strip and [tuple(row) for row in result.bounds] == per_strip
+
+
+def test_bench_restore_server_state(tmp_path, benchmark):
+    """Restore a 10K-motion snapshot: table, DH and PA arrays, and the
+    TPR-tree STR-packed in one pass."""
+    config = SystemConfig(
+        domain=Rect(0.0, 0.0, 100.0, 100.0),
+        max_update_interval=6,
+        prediction_window=6,
+        l=10.0,
+        histogram_cells=20,
+        polynomial_grid=5,
+        polynomial_degree=4,
+        evaluation_grid=128,
+    )
+    gen = np.random.default_rng(3)
+    pos = gen.uniform(1.0, 99.0, size=(10_000, 2))
+    vel = gen.uniform(-0.3, 0.3, size=(10_000, 2))
+    source = PDRServer(config, expected_objects=10_000)
+    source.report_batch(
+        [(oid, *map(float, p), *map(float, v)) for oid, (p, v) in enumerate(zip(pos, vel))]
+    )
+    save_server(source, tmp_path / "world.npz")
+    state = read_snapshot(tmp_path / "world.npz")
+
+    def fresh_server():
+        server = PDRServer(state.config, expected_objects=10_000, tnow=state.tnow)
+        return (server, state), {}
+
+    benchmark.pedantic(restore_server_state, setup=fresh_server, rounds=3, iterations=1)
+    restored = PDRServer(state.config, expected_objects=10_000, tnow=state.tnow)
+    restore_server_state(restored, state)
+    oids = sorted(m.oid for m in restored.tree.all_motions())
+    assert oids == sorted(m.oid for m in state.motions) == list(range(10_000))
+    restored.tree.validate()

@@ -163,6 +163,22 @@ class TPRTree(UpdateListener):
         """Monotone counter identifying the current tree contents/shape."""
         return self._epoch
 
+    def bulk_load(self, motions: Sequence[Motion]) -> None:
+        """Index ``motions`` in one STR pack; the tree must be empty.
+
+        This is how a restored server rebuilds its index: the contents
+        equal ``len(motions)`` separate :meth:`insert` calls, at a fraction
+        of the cost (no choose-leaf descent, no splits).  Object ids must
+        be distinct."""
+        if self._leaf_of:
+            raise IndexError_(
+                f"bulk_load needs an empty tree; it holds {len(self._leaf_of)} object(s)"
+            )
+        motions = list(motions)
+        if len({m.oid for m in motions}) != len(motions):
+            raise IndexError_("bulk_load got the same object id twice")
+        self._bulk_build(motions)
+
     def insert(self, motion: Motion) -> None:
         """Insert a motion; the object id must not already be present."""
         if motion.oid in self._leaf_of:

@@ -49,6 +49,8 @@ import re
 import time
 from typing import Callable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.errors import (
     AuditError,
     CorruptionError,
@@ -58,6 +60,7 @@ from ..core.errors import (
     WALWriteError,
 )
 from ..telemetry import instruments as tm
+from ..telemetry.journal import JOURNAL
 from .crashpoints import crashpoint
 from .faults import FaultInjector, InjectedShortWrite
 from .integrity import file_crc, frame_record, parse_wal_line
@@ -719,6 +722,7 @@ def recover_server(
                 f"corrupt server-config.json in {state_dir!r}: {exc}"
             ) from exc
 
+        phase_start = time.perf_counter()
         loaded = _load_best_checkpoint(state_dir)
         if loaded is not None:
             state, sidecar = loaded
@@ -743,7 +747,9 @@ def recover_server(
             from ..storage.snapshot import restore_server_state
 
             restore_server_state(server, state)
+        checkpoint_load_s = time.perf_counter() - phase_start
 
+        phase_start = time.perf_counter()
         last_lsn = base_lsn
         tail: List[dict] = []
         for _seq, record in _iter_wal_records(state_dir, from_seq):
@@ -757,6 +763,7 @@ def recover_server(
             tail.append(record)
             last_lsn = lsn
         server.apply_logged_record(tail)
+        replay_s = time.perf_counter() - phase_start
 
         manager = ReliabilityManager.resume(state_dir, rc, lsn=last_lsn)
         server.attach_manager(manager)
@@ -765,12 +772,14 @@ def recover_server(
         # durability, the server's visible config tells the truth again
         # (ReplicationGroup reads state_dir from it).
         server.reliability = rc
+        phase_start = time.perf_counter()
         if audit:
             try:
                 audit_server(server)
             except AuditError:
                 manager.close()  # don't leak the resumed WAL descriptor
                 raise
+        audit_s = time.perf_counter() - phase_start if audit else 0.0
         # The recovered server starts a fresh serving life: per-query counters
         # and the stage-seconds accumulators describe *this* incarnation, not
         # the one that crashed (snapshot restore may have carried them over).
@@ -785,6 +794,20 @@ def recover_server(
         server.recovery_generation = generation
         tm.RECOVERIES.inc()
         tm.RECOVERY_GENERATION.set(generation)
+        phases = {
+            "checkpoint_load": checkpoint_load_s,
+            "replay": replay_s,
+            "audit": audit_s,
+        }
+        for phase, seconds in phases.items():
+            tm.RECOVERY_PHASE_SECONDS.labels(phase).set(seconds)
+        tm.RECOVERY_REPLAYED_RECORDS.set(len(tail))
+        JOURNAL.emit(
+            "recovery.done",
+            lsn=last_lsn,
+            replayed_records=len(tail),
+            **{f"{phase}_s": seconds for phase, seconds in phases.items()},
+        )
         return server
     finally:
         boot_lock.release()
@@ -819,14 +842,23 @@ def audit_server(server, raise_on_violation: bool = True) -> List[str]:
         violations.append(f"PA clock {server.pa.tnow} != table clock {tnow}")
     horizon = server.config.horizon
     domain = server.config.domain
+    # One numpy pass per timestamp over the table's columns (O(N) memory):
+    # the same float formula as Motion.position_at, the half-open domain
+    # and the closed window t_ref <= qt <= t_ref + H.
+    motions = list(server.table.motions())
+    t_ref, x, y, vx, vy = (
+        np.array([getattr(m, f) for m in motions], dtype=float)
+        for f in ("t_ref", "x", "y", "vx", "vy")
+    )
+    t_end = t_ref + horizon
     for qt in range(tnow, tnow + horizon + 1):
-        expected = 0
-        for motion in server.table.motions():
-            if not (motion.t_ref <= qt <= motion.t_ref + horizon):
-                continue
-            x, y = motion.position_at(qt)
-            if domain.contains_point(x, y):
-                expected += 1
+        dt = qt - t_ref
+        px = x + dt * vx
+        py = y + dt * vy
+        inside = (t_ref <= qt) & (qt <= t_end)
+        inside &= (domain.x1 <= px) & (px < domain.x2)
+        inside &= (domain.y1 <= py) & (py < domain.y2)
+        expected = int(np.count_nonzero(inside))
         observed = server.histogram.total_at(qt)
         if observed != expected:
             violations.append(

@@ -5,10 +5,12 @@ histograms and polynomial coefficients would require replaying up to ``H``
 timestamps of updates.  :func:`save_server` serialises the whole maintained
 state — configuration, live motions, histogram counters and Chebyshev
 coefficients — into a single ``.npz`` file, and :func:`load_server`
-reconstructs an equivalent :class:`~repro.core.system.PDRServer`: the
-TPR-tree is rebuilt by re-inserting the live motions (cheap, and the tree's
-exact page layout is not semantically meaningful), while histogram and
-polynomial state is restored bit-for-bit.
+reconstructs an equivalent :class:`~repro.core.system.PDRServer`: histogram
+and polynomial state is restored bit-for-bit, while the TPR-tree is rebuilt
+from the live motions in one STR bulk pack
+(:meth:`~repro.index.tree.TPRTree.bulk_load`).  The rebuilt tree holds
+exactly the saved motions and passes ``validate()``; its page layout may
+differ from the saved server's, which is not semantically meaningful.
 
 Snapshots double as the *checkpoints* of the recovery subsystem
 (:mod:`repro.reliability.recovery`), which imposes two extra duties met
@@ -186,17 +188,18 @@ def restore_server_state(server: PDRServer, state: SnapshotState) -> None:
     server.table.restore(state.motions, state.tnow)
     server.histogram.load_state_arrays(state.hist_state)
     server.pa.load_state_arrays(state.pa_state)
-    # Rebuild the index by direct insertion (the table must NOT re-notify
-    # the histogram/PA listeners, whose state is already restored).
-    for motion in state.motions:
-        server.tree.insert(motion)
+    # Pack the index directly (the table must NOT re-notify the
+    # histogram/PA listeners, whose state is already restored).
+    server.tree.bulk_load(state.motions)
 
 
 def load_server(path: Union[str, "object"], expected_objects: int = 0) -> PDRServer:
     """Reconstruct a server from :func:`save_server` output.
 
-    ``expected_objects`` sizes the buffer pool; it defaults to the snapshot's
-    object count.
+    Histogram and PA state come back bit-for-bit; the TPR-tree is
+    STR-packed from the saved motions (see :func:`restore_server_state`).
+    ``expected_objects`` sizes the buffer pool; it defaults to the
+    snapshot's object count.
     """
     state = read_snapshot(path)
     server = PDRServer(

@@ -109,6 +109,15 @@ RECOVERY_GENERATION = _reg.gauge(
     "repro_recovery_generation",
     "Recovery generation of the serving state directory (0 = never recovered)",
 )
+RECOVERY_PHASE_SECONDS = _reg.gauge(
+    "repro_recovery_phase_seconds",
+    "Wall seconds of each phase of the latest recovery",
+    labelnames=("phase",),  # checkpoint_load | replay | audit
+)
+RECOVERY_REPLAYED_RECORDS = _reg.gauge(
+    "repro_recovery_replayed_records",
+    "WAL records the latest recovery replayed on top of its checkpoint",
+)
 
 # ----------------------------------------------------------------------
 # process supervision (repro supervise)

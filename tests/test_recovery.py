@@ -18,12 +18,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tests.conftest import small_system_config
+from tests.audit_oracle import audit_violations_reference
+from tests.conftest import populate_clustered, small_system_config
 from repro import PDRServer
-from repro.core.errors import AuditError, RecoveryError, StorageError
+from repro.baselines.bruteforce import bruteforce_from_motions
+from repro.core.errors import AuditError, IndexError_, RecoveryError, StorageError
+from repro.index.tree import TPRTree
+from repro.motion.model import Motion
 from repro.reliability.faults import FaultInjector, InjectedCrashError
 from repro.reliability.recovery import audit_server
+from repro.reliability.replication import ReplicationConfig, ReplicationGroup
 from repro.reliability.validation import ReliabilityConfig
 
 N_TICKS = 200
@@ -480,3 +487,153 @@ class TestKeepCheckpoints:
         assert recovered.wal_lsn == len(OPS)
         assert_states_match(recovered, reference)
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+# the vectorized audit against its per-object reference
+# ----------------------------------------------------------------------
+_H = small_system_config().horizon
+# Every coordinate and velocity is a multiple of 1/4, so x + dt * vx is
+# exact and lands on the domain edges 0 and 100 for many (object, qt).
+_COORD = st.sampled_from([0.0, 0.25, 0.5, 2.0, 50.0, 96.0, 99.5, 99.75])
+_VEL = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+# Table-only objects bypass report validation, so they may sit exactly on
+# (or just past) the exclusive x2 / y2 edges.
+_GHOST_COORD = st.sampled_from([0.0, 100.0, -0.25, 99.75, 100.25, 50.0])
+_TICK = st.integers(0, _H)  # t_ref; the audit then runs at tnow = H
+
+
+@given(
+    reports=st.lists(
+        st.tuples(st.integers(0, 9), _TICK, _COORD, _COORD, _VEL, _VEL), max_size=14
+    ),
+    ghosts=st.lists(
+        st.tuples(_TICK, _GHOST_COORD, _GHOST_COORD, _VEL, _VEL), max_size=4
+    ),
+    corrupt=st.none() | st.tuples(st.integers(0, _H), st.sampled_from([-1, 1])),
+)
+@example(
+    reports=[(0, 0, 99.75, 99.75, 0.25, 0.25), (1, 3, 0.5, 0.5, -0.25, -0.25)],
+    ghosts=[(_H, 100.0, 50.0, 0.0, 0.0), (_H, 50.0, 100.0, 0.0, 0.0),
+            (_H, 0.0, 0.0, 0.0, 0.0)],
+    corrupt=(_H, 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_audit_matches_the_per_object_oracle(reports, ghosts, corrupt):
+    """The numpy audit returns the per-object audit's violations, string
+    for string: objects on all four half-open domain edges, objects whose
+    window ends exactly at a checked timestamp, table-only objects and a
+    histogram slot off by one."""
+    server = PDRServer(small_system_config(), expected_objects=32)
+    for tick in range(_H + 1):
+        server.advance_to(tick)
+        for oid, t_ref, x, y, vx, vy in reports:
+            if t_ref == tick:
+                server.report(oid, x, y, vx, vy)
+    assert audit_server(server, raise_on_violation=False) == []
+    for i, (t_ref, x, y, vx, vy) in enumerate(ghosts):
+        server.table._motions[100 + i] = Motion(100 + i, t_ref, x, y, vx, vy)
+    if corrupt is not None:
+        offset, delta = corrupt
+        slots = server.histogram._counts.shape[0]
+        server.histogram._counts[(server.tnow + offset) % slots].flat[0] += delta
+    got = audit_server(server, raise_on_violation=False)
+    assert got == audit_violations_reference(server)
+    assert (got == []) == (not ghosts and corrupt is None)
+
+
+# ----------------------------------------------------------------------
+# restored indexes are STR-packed in one pass
+# ----------------------------------------------------------------------
+def _tail_reports(server: PDRServer, seed: int) -> None:
+    """Re-reports of existing objects plus new ones, over two ticks."""
+    gen = np.random.default_rng(seed)
+    for tick in (1, 2):
+        server.advance_to(server.tnow + 1)
+        oids = [int(o) for o in gen.choice(300, size=20, replace=False)]
+        oids += [300 + 10 * tick + i for i in range(5)]
+        server.report_batch(
+            [
+                (oid, float(x), float(y), float(vx), float(vy))
+                for oid, (x, y), (vx, vy) in zip(
+                    oids,
+                    gen.uniform(20.0, 80.0, size=(len(oids), 2)),
+                    gen.uniform(-0.3, 0.3, size=(len(oids), 2)),
+                )
+            ]
+        )
+
+
+class TestBulkRestore:
+    def test_bulk_load_refuses_a_non_empty_tree(self):
+        tree = TPRTree(horizon=_H)
+        tree.insert(Motion(1, 0, 1.0, 1.0, 0.0, 0.0))
+        with pytest.raises(IndexError_, match="empty tree"):
+            tree.bulk_load([Motion(2, 0, 2.0, 2.0, 0.0, 0.0)])
+        assert [m.oid for m in tree.all_motions()] == [1]
+
+    def test_bulk_load_refuses_duplicate_ids(self):
+        tree = TPRTree(horizon=_H)
+        with pytest.raises(IndexError_, match="twice"):
+            tree.bulk_load([Motion(2, 0, 2.0, 2.0, 0.0, 0.0)] * 2)
+        assert len(tree) == 0
+
+    def test_recovered_fr_matches_live_and_bruteforce(self, tmp_path):
+        rc = durable_config(tmp_path, interval=0)
+        live = PDRServer(small_system_config(), expected_objects=400, reliability=rc)
+        populate_clustered(live, 300)
+        live.checkpoint()
+        _tail_reports(live, seed=3)
+        live.close()
+
+        recovered = PDRServer.recover(rc.state_dir)
+        recovered.tree.validate()
+        assert len(recovered.tree) == len(recovered.table) == len(live.table)
+        assert {m.oid: m for m in recovered.tree.all_motions()} == {
+            m.oid: m for m in live.table.motions()
+        }
+        dense = 0
+        for varrho in (1.0, 2.0, 4.0):
+            for qt in (recovered.tnow, recovered.tnow + 4):
+                got = recovered.query("fr", qt=qt, varrho=varrho)
+                want = live.query("fr", qt=qt, varrho=varrho)
+                truth = bruteforce_from_motions(
+                    recovered.table.motions(),
+                    recovered.config.domain,
+                    recovered.make_query(qt=qt, varrho=varrho),
+                )
+                assert got.stats.method == "fr"
+                assert got.regions.symmetric_difference_area(want.regions) == 0.0
+                assert got.regions.symmetric_difference_area(truth.regions) == 0.0
+                dense += bool(got.regions.rects)
+        assert dense > 0  # the clusters are dense at some ϱ
+        recovered.close()
+
+    def test_replica_image_bootstrap_is_bit_exact(self, tmp_path):
+        rc = durable_config(tmp_path, interval=0)
+        primary = PDRServer(small_system_config(), expected_objects=400, reliability=rc)
+        populate_clustered(primary, 300)
+        primary.checkpoint()
+        _tail_reports(primary, seed=4)
+        # the joining replica installs the checkpoint image, then the tail
+        group = ReplicationGroup(
+            primary, n_replicas=1, config=ReplicationConfig(staleness_bound=0)
+        )
+        (replica,) = group.replicas
+        for oid in range(0, 300, 11):  # shipped on top of the packed tree
+            group.report(oid, 50.0, 50.0, 0.1, -0.1)
+        assert replica.lag(group.acked_lsn) == 0
+        for key in ("coeffs", "slot_time"):
+            assert np.array_equal(
+                replica.server.pa.state_arrays()[key], primary.pa.state_arrays()[key]
+            )
+        for key in ("counts", "slot_time"):
+            assert np.array_equal(
+                replica.server.histogram.state_arrays()[key],
+                primary.histogram.state_arrays()[key],
+            )
+        assert set(replica.server.table.motions()) == set(primary.table.motions())
+        replica.server.tree.validate()
+        assert len(replica.server.tree) == len(replica.server.table)
+        assert replica.server.audit() == []
+        group.close()

@@ -446,3 +446,42 @@ class TestRecoveryGeneration:
         again = PDRServer.recover(state_dir)
         assert again.recovery_generation == 2
         again.close()
+
+
+# ----------------------------------------------------------------------
+# recovery phase telemetry: one gauge per phase, one journal record
+# ----------------------------------------------------------------------
+class TestRecoveryPhases:
+    def test_recovery_sets_every_phase_and_journals_it(self, tmp_path):
+        from repro.telemetry.journal import JOURNAL
+
+        state_dir = str(tmp_path / "state")
+        server = PDRServer(
+            small_system_config(),
+            expected_objects=200,
+            reliability=ReliabilityConfig(state_dir=state_dir, fsync=False),
+        )
+        populate_clustered(server, 60)
+        server.checkpoint()
+        server.advance_to(server.tnow + 1)
+        server.report(0, 50.0, 50.0, 0.1, 0.1)
+        server.report(1, 40.0, 60.0, -0.1, 0.0)
+        server.close()
+
+        recovered = PDRServer.recover(state_dir)
+        recovered.close()
+        families = {f["name"]: f for f in TELEMETRY.registry.snapshot()["families"]}
+        phases = {
+            s["labels"]["phase"]: s["value"]
+            for s in families["repro_recovery_phase_seconds"]["series"]
+        }
+        assert set(phases) == {"checkpoint_load", "replay", "audit"}
+        assert all(seconds > 0.0 for seconds in phases.values())
+        # one advance + two reports follow the checkpoint
+        (replayed,) = families["repro_recovery_replayed_records"]["series"]
+        assert replayed["value"] == 3.0
+        record = [r for r in JOURNAL.recent() if r["event"] == "recovery.done"][-1]
+        assert record["replayed_records"] == 3
+        assert record["lsn"] == recovered.wal_lsn
+        for phase, seconds in phases.items():
+            assert record[f"{phase}_s"] == seconds
